@@ -107,6 +107,21 @@ Status AggregateOp::OpenImpl(QueryContext* ctx) {
       break;
     }
     if (!*has) break;
+    if (group_by_.empty()) {
+      // Scalar aggregate: one group, no key to build or look up.
+      if (groups_.empty()) {
+        Group group;
+        group.states.resize(aggs_.size());
+        const size_t bytes = 64 + group.states.size() * sizeof(AggState);
+        charged_ += bytes;
+        result = ctx->ChargeBytes(bytes);
+        if (!result.ok()) break;
+        groups_.push_back(std::move(group));
+      }
+      result = Accumulate(&groups_[0], row);
+      if (!result.ok()) break;
+      continue;
+    }
     std::vector<Value> keys;
     keys.reserve(group_by_.size());
     for (const ExprPtr& expr : group_by_) {

@@ -114,8 +114,8 @@ bool FrontierScanner::ClaimVisited(VertexId id) {
   return visited_.insert(id).second;
 }
 
-StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
-  if (fast_) return FastNext(out);
+StatusOr<bool> FrontierScanner::Run(PathPtr* out, uint64_t* count) {
+  if (fast_) return FastRun(out, count);
   while (true) {
     // Phase A: qualify and emit the current level, in frontier order, before
     // any deeper expansion. A LIMIT-k consumer that stops pulling here never
@@ -128,8 +128,11 @@ StatusOr<bool> FrontierScanner::Next(PathPtr* out) {
       GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
-        if (candidate.closing ||
-            candidate.path.Length() >= spec_->max_length) {
+        if (out == nullptr) {
+          ++*count;
+          continue;
+        }
+        if (candidate.closing || candidate.path.Length() >= max_length_) {
           // Phase B never touches this candidate again — hand the path over
           // instead of copying it, and settle its charge now (retirement
           // releases the empty husk's 64 bytes).
@@ -175,17 +178,16 @@ Status FrontierScanner::ExpandLevel() {
 
 Status FrontierScanner::ExpandLevelSerial() {
   for (const Candidate& candidate : current_) {
-    if (candidate.closing || candidate.path.Length() >= spec_->max_length) {
+    if (candidate.closing || candidate.path.Length() >= max_length_) {
       continue;
     }
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     GRF_RETURN_IF_ERROR(ExpandCore(
         candidate, ctx_,
         [this](VertexId nbr) { return AlreadyVisited(nbr); },
-        [this](Candidate&& next) {
-          if (spec_->global_visited && !next.closing) {
-            ClaimVisited(next.path.EndVertex());
-          }
+        [&](const Extension& ext) {
+          if (spec_->global_visited && !ext.closing) ClaimVisited(ext.nbr);
+          Candidate next = Extend(candidate, ext);
           const size_t bytes = CandidateBytes(next.path);
           charged_ += bytes;
           (void)ctx_->ChargeBytes(bytes);
@@ -234,8 +236,7 @@ Status FrontierScanner::ExpandLevelParallel() {
         for (size_t i = begin;
              i < end && !abort.load(std::memory_order_relaxed); ++i) {
           const Candidate& candidate = current_[i];
-          if (candidate.closing ||
-              candidate.path.Length() >= spec_->max_length) {
+          if (candidate.closing || candidate.path.Length() >= max_length_) {
             continue;
           }
           Status st = wctx.CheckInterrupt();
@@ -253,10 +254,11 @@ Status FrontierScanner::ExpandLevelParallel() {
                          std::find(local.begin(), local.end(), nbr) !=
                              local.end();
                 },
-                [&](Candidate&& next) {
-                  if (spec_->global_visited && !next.closing) {
-                    local.push_back(next.path.EndVertex());
+                [&](const Extension& ext) {
+                  if (spec_->global_visited && !ext.closing) {
+                    local.push_back(ext.nbr);
                   }
+                  Candidate next = Extend(candidate, ext);
                   Status charge =
                       wctx.ChargeBytes(CandidateBytes(next.path));
                   if (!charge.ok() && charge_failure.ok()) {
@@ -305,7 +307,7 @@ Status FrontierScanner::ExpandLevelParallel() {
 
 // --- BFS-forest fast path --------------------------------------------------
 
-StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
+StatusOr<bool> FrontierScanner::FastRun(PathPtr* out, uint64_t* count) {
   while (true) {
     while (qualify_cursor_ < fast_current_.size()) {
       GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
@@ -316,7 +318,7 @@ StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
       // path is materialized only for plausible emissions (a reachability
       // probe materializes exactly one).
       const size_t len = fast_level_;
-      if (len < spec_->min_length || len > spec_->max_length) continue;
+      if (len < min_length_ || len > max_length_) continue;
       if (target_.has_value()) {
         const VertexId endv = ev.closing ? fast_root_[ev.vertex]
                                          : csr_->vertex_ids[ev.vertex];
@@ -326,6 +328,10 @@ StatusOr<bool> FrontierScanner::FastNext(PathPtr* out) {
       GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
       if (qualifies) {
         ++ctx_->stats().paths_emitted;
+        if (out == nullptr) {
+          ++*count;
+          continue;
+        }
         *out = std::make_shared<const PathData>(std::move(candidate.path));
         return true;
       }
@@ -349,7 +355,7 @@ Status FrontierScanner::FastExpandLevel() {
   const size_t bounds = spec_->sum_bounds.size();
   std::vector<double> sums(bounds);
   for (const FastEvent& ev : fast_current_) {
-    if (ev.closing || fast_level_ >= spec_->max_length) continue;
+    if (ev.closing || fast_level_ >= max_length_) continue;
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     const uint32_t u = ev.vertex;
     const VertexId root = fast_root_[u];
@@ -382,16 +388,20 @@ Status FrontierScanner::FastExpandLevel() {
             sums[b] = fast_sums_[u * bounds + b];
           }
           if (spec_->push_filters) {
-            auto edge_ok = EdgeAdmissible(edge, edge_index);
-            if (!edge_ok.ok()) {
-              status = edge_ok.status();
-              return false;
+            if (edge_preds_) {
+              auto edge_ok = EdgeAdmissible(edge, edge_index);
+              if (!edge_ok.ok()) {
+                status = edge_ok.status();
+                return false;
+              }
+              if (!*edge_ok) {
+                ++ctx_->stats().paths_pruned;
+                return true;
+              }
             }
-            if (!*edge_ok) {
-              ++ctx_->stats().paths_pruned;
-              return true;
-            }
-            const size_t nj = closing ? csr_->IndexOf(nbr) : j;
+            const size_t nj = !vertex_preds_ ? CsrTopology::kAbsent
+                              : closing      ? csr_->IndexOf(nbr)
+                                             : j;
             if (nj != CsrTopology::kAbsent) {
               auto vertex_ok =
                   VertexAdmissible(spec_->gv->CsrVertex(nj), edge_index + 1);

@@ -46,8 +46,10 @@ class FrontierScanner : public PathScanner {
 
   Status Reset(std::vector<VertexId> starts, std::optional<VertexId> target,
                const ExecRow* outer_row) override;
-  StatusOr<bool> Next(PathPtr* out) override;
   void Release() override;
+
+ protected:
+  StatusOr<bool> Run(PathPtr* out, uint64_t* count) override;
 
  private:
   /// Expands every extendable candidate of `current_` into `next_`.
@@ -87,7 +89,7 @@ class FrontierScanner : public PathScanner {
     return sizeof(FastEvent) + bounds * sizeof(double);
   }
 
-  StatusOr<bool> FastNext(PathPtr* out);
+  StatusOr<bool> FastRun(PathPtr* out, uint64_t* count);
   Status FastExpandLevel();
   /// Materializes the event's path (parent-chain walk) and its sums as a
   /// Candidate, for the shared Qualifies pipeline and emission.

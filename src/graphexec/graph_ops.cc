@@ -404,6 +404,17 @@ StatusOr<std::vector<VertexId>> PathProbeJoinOp::StartsFor(
   return starts;
 }
 
+StatusOr<bool> PathProbeJoinOp::TargetFor(const ExecRow& outer_row,
+                                          std::optional<VertexId>* target) {
+  target->reset();
+  if (spec_->end_vertex_expr == nullptr) return true;
+  GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(outer_row));
+  if (v.is_null()) return false;  // NULL target joins nothing.
+  GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
+  *target = id.AsBigInt();
+  return true;
+}
+
 void PathProbeJoinOp::RetireParallelProbe() {
   if (parallel_ == nullptr) return;
   parallel_->Cancel();  // Joins workers + folds stats (idempotent).
@@ -447,12 +458,8 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
 
     GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
     std::optional<VertexId> target;
-    if (spec_->end_vertex_expr != nullptr) {
-      GRF_ASSIGN_OR_RETURN(Value v, spec_->end_vertex_expr->Eval(outer_row_));
-      if (v.is_null()) continue;  // NULL target joins nothing.
-      GRF_ASSIGN_OR_RETURN(Value id, v.CastTo(ValueType::kBigInt));
-      target = id.AsBigInt();
-    }
+    GRF_ASSIGN_OR_RETURN(bool joins, TargetFor(outer_row_, &target));
+    if (!joins) continue;
     if (!spec_->frontier &&
         ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
       // Keep the starts so a ResourceExhausted fan-out (the buffered-merge
@@ -501,6 +508,60 @@ std::string PathProbeJoinOp::AnalyzeExtra() const {
         static_cast<double>(worker_totals_[i].ns) / 1e6);
   }
   return out + "]";
+}
+
+// --- PathCountOp --------------------------------------------------------------------
+
+PathCountOp::PathCountOp(OperatorPtr outer,
+                         std::shared_ptr<const TraversalSpec> spec,
+                         Schema schema)
+    : PathProbeJoinOp(std::move(outer), std::move(spec)),
+      schema_(std::move(schema)) {}
+
+Status PathCountOp::OpenImpl(QueryContext* ctx) {
+  done_ = false;
+  return PathProbeJoinOp::OpenImpl(ctx);
+}
+
+StatusOr<uint64_t> PathCountOp::CountProbe(std::vector<VertexId> starts,
+                                           std::optional<VertexId> target) {
+  if (!spec_->frontier &&
+      ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
+    parallel_ = std::make_unique<ParallelPathProbe>(spec_, ctx_);
+    ++parallel_probes_;
+    StatusOr<uint64_t> counted =
+        parallel_->Count(std::move(starts), target, &outer_row_);
+    RetireParallelProbe();
+    return counted;
+  }
+  GRF_RETURN_IF_ERROR(scanner_->Reset(std::move(starts), target, &outer_row_));
+  return scanner_->Count();
+}
+
+StatusOr<bool> PathCountOp::NextImpl(ExecRow* out) {
+  if (done_) return false;
+  done_ = true;
+  uint64_t total = 0;
+  while (true) {
+    GRF_ASSIGN_OR_RETURN(bool has_outer, outer_->Next(&outer_row_));
+    if (!has_outer) break;
+    GRF_ASSIGN_OR_RETURN(std::vector<VertexId> starts, StartsFor(outer_row_));
+    std::optional<VertexId> target;
+    GRF_ASSIGN_OR_RETURN(bool joins, TargetFor(outer_row_, &target));
+    if (!joins) continue;
+    GRF_ASSIGN_OR_RETURN(uint64_t counted,
+                         CountProbe(std::move(starts), target));
+    total += counted;
+  }
+  ExecRow row;
+  row.columns.assign(schema_.NumColumns(),
+                     Value::BigInt(static_cast<int64_t>(total)));
+  *out = std::move(row);
+  return true;
+}
+
+std::string PathCountOp::name() const {
+  return "PathCount[" + spec_->DebugString() + "]";
 }
 
 }  // namespace grfusion

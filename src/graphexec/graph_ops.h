@@ -116,15 +116,23 @@ class PathProbeJoinOp : public PhysicalOperator {
     return {outer_.get()};
   }
 
+  const std::shared_ptr<const TraversalSpec>& spec() const { return spec_; }
+  /// Hands the outer child over (the planner's count pushdown rebuilds the
+  /// probe as a PathCountOp); this operator is unusable afterwards.
+  OperatorPtr ReleaseOuter() { return std::move(outer_); }
+
  protected:
   Status OpenImpl(QueryContext* ctx) override;
   StatusOr<bool> NextImpl(ExecRow* out) override;
   void CloseImpl() override;
 
- private:
   /// Computes the start set for one outer row: the bound start expression's
   /// value, or every vertex of the graph view when unbound (paper §5.1.2).
   StatusOr<std::vector<VertexId>> StartsFor(const ExecRow& outer_row);
+  /// Evaluates the target binding for one outer row. Returns false when the
+  /// target is NULL: that outer row joins no path.
+  StatusOr<bool> TargetFor(const ExecRow& outer_row,
+                           std::optional<VertexId>* target);
 
   /// Folds a finished parallel probe's per-worker fan-out into the lifetime
   /// totals shown by EXPLAIN ANALYZE, then tears the probe down.
@@ -139,6 +147,34 @@ class PathProbeJoinOp : public PhysicalOperator {
   uint64_t parallel_probes_ = 0;
   ExecRow outer_row_;
   bool outer_valid_ = false;
+};
+
+/// COUNT pushed into PathScan: the probe of PathProbeJoinOp run in count
+/// mode. For every outer row the traversal runs to exhaustion counting its
+/// qualifying paths (PathScanner::Count, or ParallelPathProbe::Count when
+/// the probe fans out); no path and no joined row is materialized. Emits
+/// the scalar aggregate's single row — the total over all outer rows, 0 on
+/// empty input — repeated once per COUNT(*)/COUNT(<path alias>) column of
+/// `schema`. The planner substitutes it for Aggregate(PathProbeJoin) when
+/// that is all the aggregate computes.
+class PathCountOp : public PathProbeJoinOp {
+ public:
+  PathCountOp(OperatorPtr outer, std::shared_ptr<const TraversalSpec> spec,
+              Schema schema);
+  const Schema& schema() const override { return schema_; }
+  std::string name() const override;
+
+ protected:
+  Status OpenImpl(QueryContext* ctx) override;
+  StatusOr<bool> NextImpl(ExecRow* out) override;
+
+ private:
+  /// Counts the qualifying paths of one outer row's probe.
+  StatusOr<uint64_t> CountProbe(std::vector<VertexId> starts,
+                                std::optional<VertexId> target);
+
+  Schema schema_;
+  bool done_ = false;
 };
 
 }  // namespace grfusion

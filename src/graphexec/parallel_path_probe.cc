@@ -92,10 +92,9 @@ bool ParallelPathProbe::Eligible(const TraversalSpec& spec,
   return num_starts >= std::max<size_t>(2, ctx.parallel_min_starts());
 }
 
-Status ParallelPathProbe::Start(std::vector<VertexId> starts,
-                                std::optional<VertexId> target,
-                                const ExecRow* outer_row) {
-  GRF_FAILPOINT("parallel_probe.start");
+void ParallelPathProbe::Launch(std::vector<VertexId> starts,
+                               std::optional<VertexId> target,
+                               const ExecRow* outer_row, Mode mode) {
   started_ = true;
   target_ = target;
   outer_row_ = outer_row;
@@ -129,12 +128,20 @@ Status ParallelPathProbe::Start(std::vector<VertexId> starts,
   runs_.resize(morsels_.size());
 
   group_ = std::make_unique<TaskGroup>(parent_->task_pool());
+  if (mode == Mode::kStream) channel_.SetProducers(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    group_->Run([this, i, mode] { WorkerBody(i, mode); });
+  }
+}
+
+Status ParallelPathProbe::Start(std::vector<VertexId> starts,
+                                std::optional<VertexId> target,
+                                const ExecRow* outer_row) {
+  GRF_FAILPOINT("parallel_probe.start");
   const bool ordered =
       spec_->physical == TraversalSpec::Physical::kShortestPath;
-  if (!ordered) channel_.SetProducers(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    group_->Run([this, i, ordered] { WorkerBody(i, ordered); });
-  }
+  Launch(std::move(starts), target, outer_row,
+         ordered ? Mode::kOrdered : Mode::kStream);
   if (!ordered) return Status::OK();
 
   // Ordered protocol: block until every morsel's run is buffered, then
@@ -158,7 +165,20 @@ Status ParallelPathProbe::Start(std::vector<VertexId> starts,
   return Status::OK();
 }
 
-void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
+StatusOr<uint64_t> ParallelPathProbe::Count(std::vector<VertexId> starts,
+                                             std::optional<VertexId> target,
+                                             const ExecRow* outer_row) {
+  GRF_FAILPOINT("parallel_probe.start");
+  Launch(std::move(starts), target, outer_row, Mode::kCount);
+  FinishAndMerge();
+  if (!first_error_.ok()) return first_error_;
+  uint64_t total = 0;
+  for (const WorkerSlot& slot : slots_) total += slot.counted;
+  return total;
+}
+
+void ParallelPathProbe::WorkerBody(size_t widx, Mode mode) {
+  const bool ordered = mode == Mode::kOrdered;
   const uint64_t t0 = NowNs();
   WorkerSlot& slot = slots_[widx];
   // Runs on the worker thread, so the span lands under the worker's tid;
@@ -195,6 +215,19 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
         RecordError(reset);
         break;
       }
+      if (mode == Mode::kCount) {
+        // The scanner checks the statement's token per expansion, so a
+        // deadline or KILL stops a running morsel; a sibling's error stops
+        // this worker at its next morsel.
+        StatusOr<uint64_t> counted = scanner.Count();
+        if (!counted.ok()) {
+          RecordError(counted.status());
+          break;
+        }
+        slot.counted += *counted;
+        slot.report.paths += *counted;
+        continue;
+      }
       while (true) {
         PathPtr path;
         StatusOr<bool> has = scanner.Next(&path);
@@ -228,7 +261,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
         }
       }
     }
-    if (!ordered && !abort) channel_.Push(std::move(batch));
+    if (mode == Mode::kStream && !abort) channel_.Push(std::move(batch));
     scanner.Release();
   }
   slot.stats = wctx.stats();
@@ -237,7 +270,7 @@ void ParallelPathProbe::WorkerBody(size_t widx, bool ordered) {
   worker_span.AddArg("morsels", std::to_string(slot.report.morsels));
   worker_span.AddArg("paths", std::to_string(slot.report.paths));
   worker_span.End();
-  if (!ordered) channel_.ProducerDone();
+  if (mode == Mode::kStream) channel_.ProducerDone();
 }
 
 void ParallelPathProbe::RecordError(const Status& status) {

@@ -35,6 +35,8 @@ namespace grfusion {
 ///    the same comparator. Because that order is a strict total order, the
 ///    merged sequence is byte-identical to serial emission for any worker
 ///    count or morsel partition.
+/// Count mode (Count) needs neither: each worker counts its morsels'
+/// qualifying paths and the totals are added at join.
 ///
 /// Each worker owns a private QueryContext (never shared between threads)
 /// whose charges additionally flow into a SharedMemoryBudget seeded with the
@@ -71,6 +73,14 @@ class ParallelPathProbe {
   /// stats into the parent context exactly once, when the stream ends.
   StatusOr<bool> Next(PathPtr* out);
 
+  /// Count mode: runs the probe with every worker counting its morsels'
+  /// qualifying paths (PathScanner::Count) and returns the total once the
+  /// workers have joined. No path is materialized or crosses the channel.
+  /// Use instead of Start/Next, once per probe.
+  StatusOr<uint64_t> Count(std::vector<VertexId> starts,
+                           std::optional<VertexId> target,
+                           const ExecRow* outer_row);
+
   /// Cancels in-flight workers, joins them, and folds their stats (operator
   /// Close / early destruction). Safe to call repeatedly.
   void Cancel();
@@ -103,13 +113,20 @@ class ParallelPathProbe {
     bool cancelled_ = false;
   };
 
+  /// How workers hand their results over.
+  enum class Mode { kStream, kOrdered, kCount };
+
   struct WorkerSlot {
     ExecStats stats;
     size_t peak_bytes = 0;
     WorkerReport report;
+    uint64_t counted = 0;  ///< Count mode: qualifying paths found.
   };
 
-  void WorkerBody(size_t widx, bool ordered);
+  /// Partitions the starts into morsels and launches the workers.
+  void Launch(std::vector<VertexId> starts, std::optional<VertexId> target,
+              const ExecRow* outer_row, Mode mode);
+  void WorkerBody(size_t widx, Mode mode);
   void RecordError(const Status& status);
   /// Joins workers and folds stats/reports into the parent (idempotent).
   void FinishAndMerge();

@@ -1,6 +1,7 @@
 #include "graphexec/path_scanner.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -25,6 +26,9 @@ std::string TraversalSpec::DebugString() const {
   if (!element_preds.empty()) {
     out += StrFormat(", pushed: %zu", element_preds.size());
   }
+  if (!length_bounds.empty()) {
+    out += StrFormat(", len-bounds: %zu", length_bounds.size());
+  }
   if (!sum_bounds.empty()) {
     out += StrFormat(", sum-bounds: %zu", sum_bounds.size());
   }
@@ -34,11 +38,84 @@ std::string TraversalSpec::DebugString() const {
   return out + ")";
 }
 
+bool TightenLengthWindow(CompareOp op, int64_t c, size_t* min_len,
+                         size_t* max_len) {
+  auto raise_min = [&](int64_t v) {
+    if (v > 0 && static_cast<size_t>(v) > *min_len) {
+      *min_len = static_cast<size_t>(v);
+    }
+  };
+  auto lower_max = [&](int64_t v) {
+    size_t bound_v = v < 0 ? 0 : static_cast<size_t>(v);
+    if (bound_v < *max_len) *max_len = bound_v;
+  };
+  switch (op) {
+    case CompareOp::kEq:
+      raise_min(c);
+      lower_max(c);
+      return true;
+    case CompareOp::kLt:
+      lower_max(c - 1);
+      return true;
+    case CompareOp::kLe:
+      lower_max(c);
+      return true;
+    case CompareOp::kGt:
+      raise_min(c + 1);
+      return true;
+    case CompareOp::kGe:
+      raise_min(c);
+      return true;
+    case CompareOp::kNe:
+      return false;
+  }
+  return false;
+}
+
+namespace {
+
+/// Folds one evaluated `Length <op> v` bound into a probe's window. A NULL
+/// bound admits no path (the comparison is never true); a fractional one
+/// rounds to the integer window it admits.
+Status ApplyLengthBound(CompareOp op, const Value& v, size_t* min_len,
+                        size_t* max_len) {
+  if (v.is_null()) {
+    *min_len = 1;
+    *max_len = 0;
+    return Status::OK();
+  }
+  if (v.type() == ValueType::kBigInt) {
+    TightenLengthWindow(op, v.AsBigInt(), min_len, max_len);
+    return Status::OK();
+  }
+  if (v.type() != ValueType::kDouble) {
+    return Status::InvalidArgument("path length bound must be a number");
+  }
+  const double d = std::clamp(v.AsDouble(), -1e15, 1e15);
+  if (d == std::floor(d)) {
+    TightenLengthWindow(op, static_cast<int64_t>(d), min_len, max_len);
+  } else if (op == CompareOp::kEq) {
+    *min_len = 1;
+    *max_len = 0;
+  } else if (op == CompareOp::kLt || op == CompareOp::kLe) {
+    TightenLengthWindow(CompareOp::kLe, static_cast<int64_t>(std::floor(d)),
+                        min_len, max_len);
+  } else if (op == CompareOp::kGt || op == CompareOp::kGe) {
+    TightenLengthWindow(CompareOp::kGe, static_cast<int64_t>(std::ceil(d)),
+                        min_len, max_len);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status PathScanner::Reset(std::vector<VertexId> starts,
                           std::optional<VertexId> target,
                           const ExecRow* outer_row) {
   frontier_.clear();
   heap_ = decltype(heap_)();
+  dfs_depth_ = 0;
+  dfs_pending_ = 0;
   visited_.clear();
   expansions_.clear();
   if (charged_ > 0) {
@@ -48,7 +125,7 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
   outer_row_ = outer_row;
   target_ = target;
 
-  // Evaluate sum-bound right-hand sides once per probe.
+  // Evaluate sum-bound and length-bound right-hand sides once per probe.
   sum_bound_values_.clear();
   static const ExecRow kEmptyRow;
   const ExecRow& row = outer_row_ == nullptr ? kEmptyRow : *outer_row_;
@@ -61,11 +138,28 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
     }
     sum_bound_values_.push_back(v.AsNumeric());
   }
+  min_length_ = spec_->min_length;
+  max_length_ = spec_->max_length;
+  for (const TraversalSpec::LengthBound& bound : spec_->length_bounds) {
+    GRF_ASSIGN_OR_RETURN(Value v, bound.bound->Eval(row));
+    GRF_RETURN_IF_ERROR(
+        ApplyLengthBound(bound.op, v, &min_length_, &max_length_));
+  }
 
   // Deduplicate starts (a probe may legitimately produce repeats).
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
 
+  const std::vector<double> zero_sums(spec_->sum_bounds.size(), 0.0);
+  if (spec_->physical == TraversalSpec::Physical::kDfs) {
+    // Frame 0 holds the start vertexes, popped from the back like the
+    // extensions of every deeper frame.
+    if (dfs_frames_.empty()) dfs_frames_.emplace_back();
+    dfs_frames_[0].steps.clear();
+    dfs_frames_[0].sums.clear();
+    dfs_frames_[0].charged = 0;
+    dfs_depth_ = 1;
+  }
   for (VertexId start : starts) {
     const VertexEntry* v = spec_->gv->FindVertex(start);
     if (v == nullptr) continue;
@@ -76,13 +170,45 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
         continue;
       }
     }
+    if (spec_->global_visited) visited_.insert(start);
+    if (spec_->physical == TraversalSpec::Physical::kDfs) {
+      PushDfsStep(&dfs_frames_[0], 0, start, false, zero_sums.data());
+      continue;
+    }
     Candidate candidate;
     candidate.path.vertexes.push_back(start);
     candidate.sums.assign(spec_->sum_bounds.size(), 0.0);
-    if (spec_->global_visited) visited_.insert(start);
     PushCandidate(std::move(candidate));
   }
+  if (spec_->physical == TraversalSpec::Physical::kDfs) {
+    ChargeDfsFrame(&dfs_frames_[0]);
+    ctx_->stats().NoteFrontier(dfs_pending_);
+  }
   return Status::OK();
+}
+
+void PathScanner::PushDfsStep(DfsFrame* frame, EdgeId edge, VertexId nbr,
+                              bool closing, const double* sums) {
+  frame->steps.push_back(DfsStep{edge, nbr, closing});
+  if (!spec_->sum_bounds.empty()) {
+    frame->sums.insert(frame->sums.end(), sums,
+                       sums + spec_->sum_bounds.size());
+  }
+}
+
+void PathScanner::ChargeDfsFrame(DfsFrame* frame) {
+  frame->charged = frame->steps.size() * DfsStepBytes();
+  dfs_pending_ += frame->steps.size();
+  charged_ += frame->charged;
+  // As in PushCandidate: a failed charge is recorded by the context and the
+  // caller's cap check aborts the traversal.
+  (void)ctx_->ChargeBytes(frame->charged);
+}
+
+void PathScanner::ReleaseDfsFrame(DfsFrame* frame) {
+  ctx_->ReleaseBytes(frame->charged);
+  charged_ -= std::min(charged_, frame->charged);
+  frame->charged = 0;
 }
 
 bool PathScanner::PopCandidate(Candidate* out) {
@@ -90,14 +216,10 @@ bool PathScanner::PopCandidate(Candidate* out) {
     if (heap_.empty()) return false;
     *out = heap_.top();
     heap_.pop();
-  } else if (spec_->physical == TraversalSpec::Physical::kBfs) {
+  } else {  // BFS.
     if (frontier_.empty()) return false;
     *out = std::move(frontier_.front());
     frontier_.pop_front();
-  } else {  // DFS.
-    if (frontier_.empty()) return false;
-    *out = std::move(frontier_.back());
-    frontier_.pop_back();
   }
   ctx_->ReleaseBytes(CandidateBytes(out->path));
   charged_ -= std::min(charged_, CandidateBytes(out->path));
@@ -164,6 +286,21 @@ StatusOr<bool> PathScanner::VertexAdmissible(const VertexEntry& vertex,
   return true;
 }
 
+PathScanner::Candidate PathScanner::Extend(const Candidate& parent,
+                                           const Extension& ext) const {
+  Candidate next;
+  next.path.edges.reserve(parent.path.edges.size() + 1);
+  next.path.edges = parent.path.edges;
+  next.path.edges.push_back(ext.edge);
+  next.path.vertexes.reserve(parent.path.vertexes.size() + 1);
+  next.path.vertexes = parent.path.vertexes;
+  next.path.vertexes.push_back(ext.nbr);
+  next.path.accumulated_cost = ext.cost;
+  next.sums.assign(ext.sums, ext.sums + spec_->sum_bounds.size());
+  next.closing = ext.closing;
+  return next;
+}
+
 Status PathScanner::Expand(const Candidate& candidate) {
   // Serial engine: consult and mark the shared visited set inline, extensions
   // go straight onto the frontier (the admission pipeline itself lives in
@@ -171,17 +308,15 @@ Status PathScanner::Expand(const Candidate& candidate) {
   return ExpandCore(
       candidate, ctx_,
       [this](VertexId nbr) { return visited_.count(nbr) > 0; },
-      [this](Candidate&& next) {
-        if (spec_->global_visited && !next.closing) {
-          visited_.insert(next.path.EndVertex());
-        }
-        PushCandidate(std::move(next));
+      [&](const Extension& ext) {
+        if (spec_->global_visited && !ext.closing) visited_.insert(ext.nbr);
+        PushCandidate(Extend(candidate, ext));
       });
 }
 
 StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
   const size_t len = candidate.path.Length();
-  if (len < spec_->min_length || len > spec_->max_length) return false;
+  if (len < min_length_ || len > max_length_) return false;
   if (target_.has_value() && candidate.path.EndVertex() != *target_) {
     return false;
   }
@@ -228,19 +363,92 @@ StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
   return true;
 }
 
-StatusOr<bool> PathScanner::Next(PathPtr* out) {
-  Candidate candidate;
-  while (PopCandidate(&candidate)) {
+StatusOr<bool> PathScanner::Run(PathPtr* out, uint64_t* count) {
+  if (spec_->physical == TraversalSpec::Physical::kDfs) {
+    return RunDfs(out, count);
+  }
+  return RunQueued(out, count);
+}
+
+StatusOr<bool> PathScanner::RunDfs(PathPtr* out, uint64_t* count) {
+  const size_t bounds = spec_->sum_bounds.size();
+  PathData& path = dfs_path_.path;
+  while (true) {
+    // The deepest frame with a pending extension holds the candidate the
+    // whole-path stack would pop next.
+    while (dfs_depth_ > 0 && dfs_frames_[dfs_depth_ - 1].steps.empty()) {
+      ReleaseDfsFrame(&dfs_frames_[--dfs_depth_]);
+    }
+    if (dfs_depth_ == 0) return false;
+    const size_t depth = dfs_depth_ - 1;
+    {
+      DfsFrame& frame = dfs_frames_[depth];
+      const DfsStep step = frame.steps.back();
+      frame.steps.pop_back();
+      // Rewind the current path to the frame's prefix and apply the step.
+      path.vertexes.resize(depth);
+      path.edges.resize(depth == 0 ? 0 : depth - 1);
+      path.vertexes.push_back(step.nbr);
+      if (depth > 0) path.edges.push_back(step.edge);
+      if (bounds > 0) {
+        dfs_path_.sums.assign(
+            frame.sums.end() - static_cast<ptrdiff_t>(bounds),
+            frame.sums.end());
+        frame.sums.resize(frame.sums.size() - bounds);
+      }
+      dfs_path_.closing = step.closing;
+      --dfs_pending_;
+    }
+
     // Path enumeration can be combinatorially unbounded, so a runaway
     // traversal must notice cancellation/deadline per expansion, not only at
     // the operator boundary (which it may never reach before emitting).
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     ++ctx_->stats().vertexes_expanded;
+    if (!dfs_path_.closing && path.Length() < max_length_) {
+      if (dfs_frames_.size() <= depth + 1) dfs_frames_.emplace_back();
+      DfsFrame& next = dfs_frames_[depth + 1];
+      next.steps.clear();
+      next.sums.clear();
+      next.charged = 0;
+      dfs_depth_ = depth + 2;
+      GRF_RETURN_IF_ERROR(ExpandCore(
+          dfs_path_, ctx_,
+          [this](VertexId nbr) { return visited_.count(nbr) > 0; },
+          [&](const Extension& ext) {
+            if (spec_->global_visited && !ext.closing) visited_.insert(ext.nbr);
+            PushDfsStep(&next, ext.edge, ext.nbr, ext.closing, ext.sums);
+          }));
+      ChargeDfsFrame(&next);
+      ctx_->stats().NoteFrontier(dfs_pending_);
+      // Frontier growth may have tripped the memory cap.
+      if (ctx_->current_bytes() > ctx_->memory_cap()) {
+        return Status::ResourceExhausted(
+            "traversal frontier exceeded the query memory cap");
+      }
+    }
+    GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(dfs_path_));
+    if (qualifies) {
+      ++ctx_->stats().paths_emitted;
+      if (out == nullptr) {
+        ++*count;
+        continue;
+      }
+      *out = std::make_shared<const PathData>(path);
+      return true;
+    }
+  }
+}
+
+StatusOr<bool> PathScanner::RunQueued(PathPtr* out, uint64_t* count) {
+  Candidate candidate;
+  while (PopCandidate(&candidate)) {
+    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    ++ctx_->stats().vertexes_expanded;
     const bool can_extend =
-        !candidate.closing && candidate.path.Length() < spec_->max_length;
+        !candidate.closing && candidate.path.Length() < max_length_;
     if (can_extend) {
       GRF_RETURN_IF_ERROR(Expand(candidate));
-      // Frontier growth may have tripped the memory cap.
       if (ctx_->current_bytes() > ctx_->memory_cap()) {
         return Status::ResourceExhausted(
             "traversal frontier exceeded the query memory cap");
@@ -249,6 +457,10 @@ StatusOr<bool> PathScanner::Next(PathPtr* out) {
     GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
     if (qualifies) {
       ++ctx_->stats().paths_emitted;
+      if (out == nullptr) {
+        ++*count;
+        continue;
+      }
       *out = std::make_shared<const PathData>(std::move(candidate.path));
       return true;
     }

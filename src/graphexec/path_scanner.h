@@ -23,16 +23,32 @@ namespace grfusion {
 ///
 /// The scanner is re-armed per probe row via Reset() — this is how an outer
 /// relational join tuple "probes" the traversal (paper Fig. 6). Between
-/// Reset() calls it holds the traversal frontier (DFS stack / BFS queue /
-/// Dijkstra priority queue) and yields one qualifying path per Next().
+/// Reset() calls it holds the traversal frontier (DFS path stack / BFS queue
+/// / Dijkstra priority queue) and yields one qualifying path per Next().
+///
+/// Every engine has one "materialize or count" switch: Next() builds the
+/// qualifying path, Count() runs the same traversal to exhaustion and only
+/// counts. Admission, pruning, statistics, interrupt checks and memory
+/// charging are identical in both modes.
+///
+/// DFS keeps one current path and extends it in place: per depth it holds
+/// the admissible extensions ExpandCore produced (edge, neighbor, closing
+/// flag, sums) and pops them from the back, which is exactly the order of a
+/// stack of whole-path candidates. BFS and SPScan keep a queue / heap of
+/// Candidates.
 ///
 /// FrontierScanner derives from this to run the same per-edge admission
 /// pipeline (ExpandCore) level-synchronously over whole frontiers; the
-/// virtual surface is exactly the operator-facing triple Reset/Next/Release.
+/// virtual surface is Reset/Run/Release.
 class PathScanner {
  public:
   PathScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx)
-      : spec_(std::move(spec)), ctx_(ctx) {}
+      : spec_(std::move(spec)), ctx_(ctx) {
+    for (const auto& pred : spec_->element_preds) {
+      (pred->attr().kind == PathElementKind::kEdges ? edge_preds_
+                                                    : vertex_preds_) = true;
+    }
+  }
   virtual ~PathScanner() = default;
 
   /// Arms the scanner for a new probe. `starts` may be empty (yields no
@@ -45,12 +61,22 @@ class PathScanner {
 
   /// Produces the next qualifying path, or false when the traversal space is
   /// exhausted.
-  virtual StatusOr<bool> Next(PathPtr* out);
+  StatusOr<bool> Next(PathPtr* out) { return Run(out, nullptr); }
+
+  /// Count mode: runs the rest of the traversal and returns how many paths
+  /// qualify, without materializing any of them.
+  StatusOr<uint64_t> Count() {
+    uint64_t count = 0;
+    GRF_RETURN_IF_ERROR(Run(nullptr, &count).status());
+    return count;
+  }
 
   /// Drops frontier state and releases its memory charge (operator Close).
   virtual void Release() {
     frontier_.clear();
     heap_ = decltype(heap_)();
+    dfs_depth_ = 0;
+    dfs_pending_ = 0;
     visited_.clear();
     expansions_.clear();
     if (charged_ > 0) {
@@ -76,13 +102,32 @@ class PathScanner {
     }
   };
 
+  /// One admissible one-edge extension of a path, as ExpandCore hands it to
+  /// its sink. `sums` holds the extended path's running totals (one per
+  /// spec sum-bound) and is only valid during the sink call.
+  struct Extension {
+    EdgeId edge = 0;
+    VertexId nbr = 0;
+    bool closing = false;
+    double cost = 0.0;  ///< Accumulated cost of the extended path (SPScan).
+    const double* sums = nullptr;
+  };
+
   /// Frontier-entry footprint for the query-memory accountant.
   static size_t CandidateBytes(const PathData& path) {
     return 64 + path.vertexes.size() * sizeof(VertexId) +
            path.edges.size() * sizeof(EdgeId);
   }
 
-  /// Pops the next candidate in physical-operator order.
+  /// The engine loop behind Next and Count. Materializing (`out` set): stops
+  /// at the next qualifying path and returns it. Counting (`out` null): runs
+  /// to exhaustion, adding one to `*count` per qualifying path.
+  virtual StatusOr<bool> Run(PathPtr* out, uint64_t* count);
+
+  /// Builds `parent` extended by `ext` as a frontier Candidate.
+  Candidate Extend(const Candidate& parent, const Extension& ext) const;
+
+  /// Pops the next candidate in physical-operator order (BFS / SPScan).
   bool PopCandidate(Candidate* out);
   void PushCandidate(Candidate candidate);
   size_t FrontierSize() const;
@@ -92,7 +137,7 @@ class PathScanner {
   StatusOr<bool> Qualifies(const Candidate& candidate);
 
   /// Expands `candidate` by every admissible incident edge, pushing the
-  /// extensions onto the frontier.
+  /// extensions onto the BFS queue / SPScan heap.
   Status Expand(const Candidate& candidate);
 
   /// The per-edge admission pipeline shared by the serial engine and the
@@ -100,8 +145,9 @@ class PathScanner {
   /// closing-cycle rules, pushed element filters, sum-bound accumulation and
   /// monotone pruning, SPScan weights. `already_visited(nbr)` implements the
   /// global_visited claim check (consulted only in that mode, and only for
-  /// non-closing extensions); `sink(Candidate&&)` receives each admissible
-  /// extension in neighbor-enumeration order and owns visited marking.
+  /// non-closing extensions); `sink(const Extension&)` receives each
+  /// admissible extension in neighbor-enumeration order and owns visited
+  /// marking.
   ///
   /// Thread-safety: reads only const state (spec_, outer_row_,
   /// sum_bound_values_) plus the expansions_ map — which is SPScan-only, and
@@ -128,6 +174,7 @@ class PathScanner {
 
     const size_t edge_index = candidate.path.Length();
     Status status = Status::OK();
+    std::vector<double> sums(candidate.sums.size());
 
     spec_->gv->ForEachNeighbor(*end, [&](const EdgeEntry& edge, VertexId nbr) {
       ++ctx->stats().edges_examined;
@@ -150,18 +197,21 @@ class PathScanner {
         if (spec_->global_visited && already_visited(nbr)) return true;
       }
 
-      std::vector<double> sums = candidate.sums;
+      std::copy(candidate.sums.begin(), candidate.sums.end(), sums.begin());
       if (spec_->push_filters) {
-        auto edge_ok = EdgeAdmissible(edge, edge_index);
-        if (!edge_ok.ok()) {
-          status = edge_ok.status();
-          return false;
+        if (edge_preds_) {
+          auto edge_ok = EdgeAdmissible(edge, edge_index);
+          if (!edge_ok.ok()) {
+            status = edge_ok.status();
+            return false;
+          }
+          if (!*edge_ok) {
+            ++ctx->stats().paths_pruned;
+            return true;
+          }
         }
-        if (!*edge_ok) {
-          ++ctx->stats().paths_pruned;
-          return true;
-        }
-        const VertexEntry* nv = spec_->gv->FindVertex(nbr);
+        const VertexEntry* nv =
+            vertex_preds_ ? spec_->gv->FindVertex(nbr) : nullptr;
         if (nv != nullptr) {
           auto vertex_ok = VertexAdmissible(*nv, edge_index + 1);
           if (!vertex_ok.ok()) {
@@ -205,14 +255,12 @@ class PathScanner {
         }
       }
 
-      Candidate next;
-      next.path.edges = candidate.path.edges;
-      next.path.edges.push_back(edge.id);
-      next.path.vertexes = candidate.path.vertexes;
-      next.path.vertexes.push_back(nbr);
-      next.sums = std::move(sums);
+      Extension next;
+      next.edge = edge.id;
+      next.nbr = nbr;
       next.closing = closing;
-      next.path.accumulated_cost = candidate.path.accumulated_cost;
+      next.cost = candidate.path.accumulated_cost;
+      next.sums = sums.data();
 
       if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
         auto w = ExtractEdgeValue(*spec_->gv, edge, spec_->sp_attr);
@@ -225,10 +273,10 @@ class PathScanner {
               "SHORTESTPATH requires a non-null, non-negative edge attribute");
           return false;
         }
-        next.path.accumulated_cost += w->AsNumeric();
+        next.cost += w->AsNumeric();
       }
 
-      sink(std::move(next));
+      sink(next);
       return true;
     });
     return status;
@@ -242,12 +290,19 @@ class PathScanner {
 
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_;
+  /// Whether the spec pushes edge / vertex element predicates; without any,
+  /// the per-edge admission skips their lookups.
+  bool edge_preds_ = false;
+  bool vertex_preds_ = false;
 
   const ExecRow* outer_row_ = nullptr;
   std::optional<VertexId> target_;
   std::vector<double> sum_bound_values_;  ///< Bounds evaluated per probe.
+  /// This probe's length window: the spec's, narrowed by its length bounds.
+  size_t min_length_ = 1;
+  size_t max_length_ = kNoMaxLength;
 
-  std::deque<Candidate> frontier_;  ///< DFS stack (back) / BFS queue (front).
+  std::deque<Candidate> frontier_;  ///< BFS queue (popped at the front).
   std::priority_queue<Candidate, std::vector<Candidate>, CostOrder> heap_;
   std::unordered_set<VertexId> visited_;      ///< global_visited mode.
   /// SPScan expansion cap, counted per (start, vertex): each start's
@@ -256,6 +311,45 @@ class PathScanner {
   /// shared frontier (serial) or in per-morsel scanners (parallel).
   std::map<std::pair<VertexId, VertexId>, size_t> expansions_;
   size_t charged_ = 0;  ///< Bytes currently charged for the frontier.
+
+ private:
+  /// DFS with one current path extended in place.
+  StatusOr<bool> RunDfs(PathPtr* out, uint64_t* count);
+  /// BFS / SPScan over the Candidate queue / heap.
+  StatusOr<bool> RunQueued(PathPtr* out, uint64_t* count);
+
+  /// A pending DFS extension (its sums live in the frame's flat `sums`).
+  struct DfsStep {
+    EdgeId edge = 0;
+    VertexId nbr = 0;
+    bool closing = false;
+  };
+  /// The pending extensions of one DFS depth: frame d extends the current
+  /// path's first d vertexes (frame 0 holds the start vertexes).
+  struct DfsFrame {
+    std::vector<DfsStep> steps;  ///< Popped from the back.
+    std::vector<double> sums;    ///< steps.size() x sum-bound count.
+    size_t charged = 0;          ///< Bytes charged for the frame's steps.
+  };
+  /// Memory charged per pending DFS extension.
+  size_t DfsStepBytes() const {
+    return sizeof(DfsStep) + spec_->sum_bounds.size() * sizeof(double);
+  }
+  /// Appends a pending extension to `frame` (ChargeDfsFrame charges it).
+  void PushDfsStep(DfsFrame* frame, EdgeId edge, VertexId nbr, bool closing,
+                   const double* sums);
+  /// Charges a freshly filled frame's extensions to the memory budget in one
+  /// call; ReleaseDfsFrame returns them once the frame is exhausted. One
+  /// charge per expansion instead of one per extension keeps parallel
+  /// workers off the shared budget's atomic counter.
+  void ChargeDfsFrame(DfsFrame* frame);
+  void ReleaseDfsFrame(DfsFrame* frame);
+
+  Candidate dfs_path_;  ///< The current DFS path, extended in place.
+  /// Frames [0, dfs_depth_) are live; deeper ones keep their capacity.
+  std::vector<DfsFrame> dfs_frames_;
+  size_t dfs_depth_ = 0;
+  size_t dfs_pending_ = 0;  ///< Pending extensions over all live frames.
 };
 
 }  // namespace grfusion

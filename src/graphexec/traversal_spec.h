@@ -40,6 +40,16 @@ struct TraversalSpec {
   size_t min_length = 1;
   size_t max_length = kNoMaxLength;
 
+  /// `PS.Length <op> ?` bounds on a prepared-statement parameter. Each is
+  /// evaluated once per probe (like a sum bound's right-hand side) and
+  /// narrows that probe's [min_length, max_length] window, so the traversal
+  /// is bounded exactly as by the literal.
+  struct LengthBound {
+    CompareOp op = CompareOp::kLe;
+    ExprPtr bound;
+  };
+  std::vector<LengthBound> length_bounds;
+
   /// Quantified per-element predicates pushed into the traversal. Each is
   /// tested incrementally as edges/vertexes join the partial path.
   std::vector<std::shared_ptr<const PathRangePredicateExpr>> element_preds;
@@ -99,6 +109,12 @@ struct TraversalSpec {
 
   std::string DebugString() const;
 };
+
+/// Narrows the length window [*min_len, *max_len] by `Length <op> c`.
+/// Returns false for `<>`, which is not a contiguous window (the window is
+/// left untouched). An empty result shows as *min_len > *max_len.
+bool TightenLengthWindow(CompareOp op, int64_t c, size_t* min_len,
+                         size_t* max_len);
 
 }  // namespace grfusion
 

@@ -46,20 +46,19 @@ void FlattenParsedConjuncts(const ParsedExpr* expr,
 }
 
 /// Recognizes `PS.Length <op> <integer literal>` (either orientation) on a
-/// bound comparison and tightens [min, max] accordingly (§6.1).
-bool MatchLengthBound(const Expression& bound, size_t slot, size_t* min_len,
-                      size_t* max_len) {
+/// bound comparison and tightens the spec's [min, max] accordingly (§6.1).
+/// `PS.Length <op> ?` becomes a per-probe length bound instead: the
+/// parameter's value narrows the window of each execution.
+bool MatchLengthBound(const Expression& bound, TraversalSpec* spec) {
   const auto* cmp = dynamic_cast<const CompareExpr*>(&bound);
   if (cmp == nullptr) return false;
-  const Expression* lhs = cmp->left().get();
-  const Expression* rhs = cmp->right().get();
+  ExprPtr other = cmp->right();
   CompareOp op = cmp->op();
-  const auto* prop = dynamic_cast<const PathPropertyExpr*>(lhs);
-  const auto* constant = dynamic_cast<const ConstantExpr*>(rhs);
-  if (prop == nullptr || constant == nullptr) {
+  const auto* prop = dynamic_cast<const PathPropertyExpr*>(cmp->left().get());
+  if (prop == nullptr) {
     // Mirrored: <literal> <op> PS.Length.
-    prop = dynamic_cast<const PathPropertyExpr*>(rhs);
-    constant = dynamic_cast<const ConstantExpr*>(lhs);
+    prop = dynamic_cast<const PathPropertyExpr*>(cmp->right().get());
+    other = cmp->left();
     switch (op) {
       case CompareOp::kLt: op = CompareOp::kGt; break;
       case CompareOp::kLe: op = CompareOp::kGe; break;
@@ -68,42 +67,21 @@ bool MatchLengthBound(const Expression& bound, size_t slot, size_t* min_len,
       default: break;
     }
   }
-  if (prop == nullptr || constant == nullptr) return false;
-  if (prop->property() != PathProperty::kLength || prop->slot() != slot) {
+  if (prop == nullptr || prop->property() != PathProperty::kLength ||
+      prop->slot() != spec->path_slot || op == CompareOp::kNe) {
+    return false;  // `<>` is not a contiguous window; leave it residual.
+  }
+  if (dynamic_cast<const ParameterExpr*>(other.get()) != nullptr) {
+    spec->length_bounds.push_back(
+        TraversalSpec::LengthBound{op, std::move(other)});
+    return true;
+  }
+  const auto* constant = dynamic_cast<const ConstantExpr*>(other.get());
+  if (constant == nullptr || constant->value().type() != ValueType::kBigInt) {
     return false;
   }
-  if (constant->value().type() != ValueType::kBigInt) return false;
-  int64_t c = constant->value().AsBigInt();
-  auto raise_min = [&](int64_t v) {
-    if (v > 0 && static_cast<size_t>(v) > *min_len) {
-      *min_len = static_cast<size_t>(v);
-    }
-  };
-  auto lower_max = [&](int64_t v) {
-    size_t bound_v = v < 0 ? 0 : static_cast<size_t>(v);
-    if (bound_v < *max_len) *max_len = bound_v;
-  };
-  switch (op) {
-    case CompareOp::kEq:
-      raise_min(c);
-      lower_max(c);
-      return true;
-    case CompareOp::kLt:
-      lower_max(c - 1);
-      return true;
-    case CompareOp::kLe:
-      lower_max(c);
-      return true;
-    case CompareOp::kGt:
-      raise_min(c + 1);
-      return true;
-    case CompareOp::kGe:
-      raise_min(c);
-      return true;
-    case CompareOp::kNe:
-      return false;  // Not a contiguous window; leave as residual.
-  }
-  return false;
+  return TightenLengthWindow(op, constant->value().AsBigInt(),
+                             &spec->min_length, &spec->max_length);
 }
 
 /// Recognizes `SUM(PS.Edges.attr) <op> <expr without paths>` on a bound
@@ -166,11 +144,14 @@ Status CollectAggCalls(const ParsedExpr& expr, const Binder& binder,
   if (expr.kind == ParsedExpr::Kind::kFunc &&
       AggFuncFromName(expr.func_name).has_value()) {
     bool path_agg = false;
+    bool bare_path = false;
     if (!expr.star_arg && !expr.children.empty()) {
       GRF_ASSIGN_OR_RETURN(auto ref,
                            binder.ClassifyPathRef(*expr.children[0]));
       path_agg = ref.has_value() &&
                  ref->kind == Binder::PathRef::Kind::kElementsNoIndex;
+      bare_path = ref.has_value() &&
+                  ref->kind == Binder::PathRef::Kind::kBareAlias;
     }
     if (!path_agg) {
       std::string key = expr.ToString();
@@ -183,7 +164,11 @@ Status CollectAggCalls(const ParsedExpr& expr, const Binder& binder,
             return Status::InvalidArgument(expr.func_name +
                                            " takes exactly one argument");
           }
-          GRF_ASSIGN_OR_RETURN(spec.arg, binder.Bind(*expr.children[0]));
+          // A bare path alias is never NULL, so COUNT(P) counts rows like
+          // COUNT(*) instead of rendering every path's PathString.
+          if (!(bare_path && spec.func == AggFunc::kCount)) {
+            GRF_ASSIGN_OR_RETURN(spec.arg, binder.Bind(*expr.children[0]));
+          }
         }
         index->emplace(std::move(key), specs->size());
         specs->push_back(std::move(spec));
@@ -488,9 +473,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       if (single_path) {
         // Length window inference (§6.1).
         if (options_.enable_length_inference &&
-            MatchLengthBound(*bound, spec.path_slot, &spec.min_length,
-                             &spec.max_length)) {
-          plan.has_length_bound = true;
+            MatchLengthBound(*bound, &spec)) {
           c.consumed = true;
           continue;
         }
@@ -736,7 +719,8 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     // change the LIMIT-1 answer.
     if (options_.enable_reachability_fastpath && limit_one &&
         spec.end_vertex_expr != nullptr && spec.residual == nullptr &&
-        spec.sum_bounds.empty() && spec.min_length <= 1 &&
+        spec.sum_bounds.empty() && spec.length_bounds.empty() &&
+        spec.min_length <= 1 &&
         spec.physical != TraversalSpec::Physical::kShortestPath) {
       bool uniform = true;
       for (const auto& pred : spec.element_preds) {
@@ -908,9 +892,31 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       GRF_RETURN_IF_ERROR(
           CollectAggCalls(*stmt.having, binder, &agg_index, &agg_specs));
     }
-    auto agg_op = std::make_unique<AggregateOp>(
-        std::move(tree), std::move(group_exprs), group_names,
-        std::move(agg_specs));
+    // Count pushdown: a scalar aggregate made only of COUNT(*) /
+    // COUNT(<path alias>) straight over the only path probe runs that probe
+    // in count mode. Every row of the probe is one path, so the count is the
+    // number of qualifying paths summed over the outer rows.
+    bool count_pushdown =
+        group_exprs.empty() && !agg_specs.empty() && scope.path_slots() == 1 &&
+        dynamic_cast<const PathProbeJoinOp*>(tree.get()) != nullptr;
+    for (const AggregateSpec& spec : agg_specs) {
+      count_pushdown = count_pushdown && spec.func == AggFunc::kCount &&
+                       spec.arg == nullptr;
+    }
+    OperatorPtr agg_op;
+    if (count_pushdown) {
+      auto* probe = static_cast<PathProbeJoinOp*>(tree.get());
+      Schema counts;
+      for (const AggregateSpec& spec : agg_specs) {
+        counts.AddColumn(Column(spec.output_name, ValueType::kBigInt));
+      }
+      agg_op = std::make_unique<PathCountOp>(probe->ReleaseOuter(),
+                                             probe->spec(), std::move(counts));
+    } else {
+      agg_op = std::make_unique<AggregateOp>(
+          std::move(tree), std::move(group_exprs), group_names,
+          std::move(agg_specs));
+    }
     const Schema& agg_schema = agg_op->schema();
 
     for (const OutputItem& out : outputs) {

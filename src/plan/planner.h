@@ -150,7 +150,6 @@ class Planner {
   struct PathPlan {
     std::shared_ptr<TraversalSpec> spec;
     std::vector<ExprPtr> residual;  ///< Path-referencing, unpushable.
-    bool has_length_bound = false;
   };
 
   StatusOr<BindingScope> BuildScope(const SelectStmt& stmt) const;

@@ -202,6 +202,32 @@ TEST_P(PathSemanticsTest, EnumerationMatchesBruteForce) {
   }
 }
 
+TEST_P(PathSemanticsTest, GroupedCountMatchesBruteForce) {
+  // COUNT(P) under GROUP BY stays on the Aggregate (no count pushdown) and
+  // counts rows like COUNT(*): one per path, per start vertex.
+  for (const char* hint : {"", " HINT(DFS)", " HINT(BFS)"}) {
+    auto result = session_.Execute(StrFormat(
+        "SELECT P.StartVertex.Id, COUNT(P) FROM g.Paths P%s "
+        "WHERE P.Length <= 3 GROUP BY P.StartVertex.Id",
+        hint));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::map<int64_t, int64_t> actual;
+    for (const auto& row : result->rows) {
+      actual[row[0].AsBigInt()] = row[1].AsBigInt();
+    }
+    std::map<int64_t, int64_t> expected;
+    for (int64_t src = 0; src < graph_.n; ++src) {
+      size_t count = 0;
+      for (size_t len : {1, 2, 3}) {
+        count += ReferencePaths(graph_, src, len).size();
+      }
+      if (count > 0) expected[src] = static_cast<int64_t>(count);
+    }
+    EXPECT_EQ(actual, expected) << "hint='" << hint << "' seed="
+                                << GetParam().seed;
+  }
+}
+
 TEST_P(PathSemanticsTest, FilteredEnumerationMatchesBruteForce) {
   auto pred = [](const RefGraph::Edge& e) { return e.rank < 50; };
   for (int64_t src : {0, 3}) {
@@ -515,11 +541,15 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   // The level-synchronous frontier kernel must reproduce the per-path BFS
   // engine's emission order exactly (not just the multiset): both process
   // whole depth levels in FIFO order. Compare ordered row sequences with the
-  // kernel forced on (frontier_min_batch = 1) vs forced off.
+  // kernel forced on (frontier_min_batch = 1) vs forced off. The per-path arm
+  // runs serially: with more than one worker an unbounded multi-start probe
+  // fans out and may interleave its starts (the parallel_safe contract), so
+  // only the serial per-path engine has a defined emission order.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
   auto run = [&](bool frontier, const std::string& sql) {
     session_.options().enable_frontier_bfs = frontier;
     session_.options().frontier_min_batch = 1;
+    session_.options().max_parallelism = frontier ? 0 : 1;
     auto result = session_.Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> out;
@@ -549,6 +579,7 @@ TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().enable_frontier_bfs = true;
   session_.options().frontier_min_batch = 32;
+  session_.options().max_parallelism = 0;
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {

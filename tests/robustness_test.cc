@@ -247,9 +247,12 @@ class CancellationEngineTest : public ::testing::Test {
   /// Plans the unbounded enumeration and drives the Volcano loop with an
   /// explicit QueryContext, so the test can assert the byte ledger is empty
   /// after Close() unwinds a deadline mid-traversal.
-  void RunUnboundedWithDeadline(bool parallel) {
-    auto stmt = Parser::ParseSingle(
-        "SELECT P.PathString FROM g.Paths P");
+  void RunUnboundedWithDeadline(
+      bool parallel,
+      const std::string& sql = "SELECT P.PathString FROM g.Paths P",
+      StatusCode expected = StatusCode::kDeadlineExceeded,
+      size_t memory_cap = QueryContext::kDefaultMemoryCap) {
+    auto stmt = Parser::ParseSingle(sql);
     ASSERT_TRUE(stmt.ok());
     const SelectStmt& select = std::get<SelectStmt>(*stmt);
     PlannerOptions options = session_.options();
@@ -262,7 +265,7 @@ class CancellationEngineTest : public ::testing::Test {
     auto planned = planner.PlanSelect(select);
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
 
-    QueryContext ctx(options.memory_cap);
+    QueryContext ctx(memory_cap);
     if (parallel) {
       ctx.set_task_pool(&TaskPool::Shared());
       ctx.set_max_parallelism(4);
@@ -289,8 +292,7 @@ class CancellationEngineTest : public ::testing::Test {
                            std::chrono::steady_clock::now() - t0)
                            .count();
 
-    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
-        << status.ToString();
+    EXPECT_EQ(status.code(), expected) << status.ToString();
     // Promptness: a 20ms deadline must not take seconds to observe.
     EXPECT_LT(elapsed_s, 5.0);
     // Leak-freedom: unwinding released every charged byte.
@@ -308,6 +310,62 @@ TEST_F(CancellationEngineTest, SerialDeadlineUnwindsLeakFree) {
 
 TEST_F(CancellationEngineTest, ParallelDeadlineUnwindsLeakFree) {
   RunUnboundedWithDeadline(/*parallel=*/true);
+}
+
+// Count mode (the PathCount pushdown) runs the whole traversal inside one
+// Next call, so only the scanner's per-expansion checks can stop it.
+TEST_F(CancellationEngineTest, SerialCountDeadlineUnwindsLeakFree) {
+  RunUnboundedWithDeadline(/*parallel=*/false,
+                           "SELECT COUNT(P) FROM g.Paths P");
+}
+
+TEST_F(CancellationEngineTest, ParallelCountDeadlineUnwindsLeakFree) {
+  RunUnboundedWithDeadline(/*parallel=*/true,
+                           "SELECT COUNT(*) FROM g.Paths P");
+}
+
+TEST_F(CancellationEngineTest, CountMemoryCapUnwindsLeakFree) {
+  // The in-place DFS charges every pending extension; an unbounded count
+  // whose stack outgrows the cap aborts with ResourceExhausted and releases
+  // every byte, serially and fanned out.
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    RunUnboundedWithDeadline(parallel, "SELECT COUNT(P) FROM g.Paths P",
+                             StatusCode::kResourceExhausted,
+                             /*memory_cap=*/512);
+  }
+}
+
+TEST_F(CancellationEngineTest, KillStopsCountingTraversal) {
+  // 121 outer rows, each probing an unbounded count over the complete
+  // graph: far more work than can finish before the KILL lands.
+  const std::string sql =
+      "SELECT COUNT(P) FROM v A, v B, g.Paths P WHERE P.StartVertex.Id = A.id";
+  Session victim(db_);
+  StatusCode final_code = StatusCode::kOk;
+  std::thread runner([&] { final_code = victim.Execute(sql).status().code(); });
+  Session killer(db_);
+  int64_t victim_query_id = 0;
+  for (int i = 0; i < 5000 && victim_query_id == 0; ++i) {
+    auto r = killer.Execute(StrFormat(
+        "SELECT QUERY_ID FROM SYS.ACTIVE_QUERIES WHERE SESSION_ID = %lld "
+        "AND KIND = 'SELECT'",
+        static_cast<long long>(victim.id())));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!r->rows.empty()) victim_query_id = r->rows[0][0].AsBigInt();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(victim_query_id, 0) << "victim query never appeared";
+  auto kill = killer.Execute(
+      StrFormat("KILL %lld", static_cast<long long>(victim_query_id)));
+  EXPECT_TRUE(kill.ok()) << kill.status().ToString();
+  runner.join();
+  EXPECT_EQ(final_code, StatusCode::kCancelled);
+  // The killed statement unwound: nothing registered, the session works.
+  EXPECT_EQ(db_.active_queries().size(), 0u);
+  auto after = victim.Execute("SELECT COUNT(*) FROM v");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->ScalarValue().AsBigInt(), kVertexes);
 }
 
 TEST_F(CancellationEngineTest, StatementTimeoutReturnsDeadlineExceeded) {

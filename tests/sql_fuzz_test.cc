@@ -478,6 +478,43 @@ std::vector<std::string> DiffOrdered(const ResultSet& result) {
   return out;
 }
 
+/// Creates tables v(id, name) and e(id, src, dst, w, rank) holding a random
+/// graph of [6, max_n] vertexes and up to 3 edges per vertex, mirrored into
+/// `graph` for the reference enumerators. Callers create the views.
+void LoadDiffGraph(Random* rng, int64_t max_n, Database* db,
+                   Session* session, DiffGraph* graph) {
+  graph->n = rng->Uniform(6, max_n);
+  graph->directed = rng->Bernoulli(0.5);
+  int64_t target_edges = rng->Uniform(graph->n, 3 * graph->n);
+  ASSERT_TRUE(session->ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE, rank BIGINT);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < graph->n; ++i) {
+    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+  }
+  ASSERT_TRUE(db->BulkInsert("v", vrows).ok());
+  std::set<std::pair<int64_t, int64_t>> used;
+  std::vector<std::vector<Value>> erows;
+  int64_t id = 0;
+  while (id < target_edges &&
+         used.size() < static_cast<size_t>(graph->n * (graph->n - 1))) {
+    int64_t s = rng->Uniform(0, graph->n - 1);
+    int64_t d = rng->Uniform(0, graph->n - 1);
+    if (s == d || !used.insert({s, d}).second) continue;
+    double w = 0.5 + rng->NextDouble() * 4.0;
+    int64_t rank = rng->Uniform(0, 99);
+    graph->edges.push_back(DiffEdge{id, s, d, w, rank});
+    erows.push_back({Value::BigInt(id), Value::BigInt(s), Value::BigInt(d),
+                     Value::Double(w), Value::BigInt(rank)});
+    ++id;
+  }
+  ASSERT_TRUE(db->BulkInsert("e", erows).ok());
+}
+
 /// Builds one random graph (tables v/e + graph view g), then runs
 /// `enum_trials` random enumeration queries and `sp_trials` random
 /// SHORTESTPATH queries, differentially: serial vs parallel vs reference.
@@ -490,39 +527,10 @@ void RunGraphDifferentialSweep(uint64_t seed, int enum_trials, int sp_trials) {
       MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
   Random rng(seed);
   DiffGraph graph;
-  graph.n = rng.Uniform(6, 14);
-  graph.directed = rng.Bernoulli(0.5);
-  int64_t target_edges = rng.Uniform(graph.n, 3 * graph.n);
-
   Database db;
   Session session(db);
-  ASSERT_TRUE(session.ExecuteScript(R"sql(
-    CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
-    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
-                    w DOUBLE, rank BIGINT);
-  )sql")
-                  .ok());
-  std::vector<std::vector<Value>> vrows;
-  for (int64_t i = 0; i < graph.n; ++i) {
-    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
-  }
-  ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
-  std::set<std::pair<int64_t, int64_t>> used;
-  std::vector<std::vector<Value>> erows;
-  int64_t id = 0;
-  while (id < target_edges &&
-         used.size() < static_cast<size_t>(graph.n * (graph.n - 1))) {
-    int64_t s = rng.Uniform(0, graph.n - 1);
-    int64_t d = rng.Uniform(0, graph.n - 1);
-    if (s == d || !used.insert({s, d}).second) continue;
-    double w = 0.5 + rng.NextDouble() * 4.0;
-    int64_t rank = rng.Uniform(0, 99);
-    graph.edges.push_back(DiffEdge{id, s, d, w, rank});
-    erows.push_back({Value::BigInt(id), Value::BigInt(s), Value::BigInt(d),
-                     Value::Double(w), Value::BigInt(rank)});
-    ++id;
-  }
-  ASSERT_TRUE(db.BulkInsert("e", erows).ok());
+  LoadDiffGraph(&rng, 14, &db, &session, &graph);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // Build the same view twice: `g` through the serial construction path and
   // `gp` through the parallel morsel build (forced by parallel_min_rows=1).
@@ -692,6 +700,229 @@ TEST(GraphDiffFuzzEnvTest, EnvironmentSeedSweep) {
     seed = std::strtoull(env, nullptr, 10);
   }
   RunGraphDifferentialSweep(seed, /*enum_trials=*/10, /*sp_trials=*/4);
+}
+
+// ---------------------------------------------------------------------------
+// Count-pushdown differential fuzz
+//
+// Random COUNT(P) / COUNT(*) queries over GV.PATHS run in count mode
+// (PathCount) and must equal a brute-force count, at max_parallelism 1 and
+// 4. The generator covers bound starts, a join probe over a seed table
+// holding duplicate, missing and NULL ids, unbound starts (parallel
+// fan-out), pushed Edges[0..*] filters, sum bounds, residual predicates,
+// end-vertex targets, and the DFS, per-path BFS, frontier and SPScan
+// engines.
+// ---------------------------------------------------------------------------
+
+/// One generated count query plus what the reference needs to count it.
+struct CountQuery {
+  std::string sql;
+  std::vector<std::optional<int64_t>> starts;  // One probe per entry.
+  size_t min_len = 1, max_len = 1;
+  std::optional<int64_t> rank_below;  // P.Edges[0..*].rank < R (pushed)
+  std::optional<double> sum_below;    // SUM(P.Edges.w) < S (sum bound)
+  std::optional<int64_t> end_vertex;  // P.EndVertex.Id = d (target)
+  std::optional<int64_t> end_not;     // P.EndVertex.Id <> d (residual)
+};
+
+void CountEnumerate(const DiffGraph& g, const CountQuery& q, int64_t src,
+                    int64_t v, double sum, std::vector<int64_t>* vstack,
+                    std::vector<int64_t>* estack, uint64_t* count) {
+  for (auto [e, nbr] : g.Neighbors(v)) {
+    if (q.rank_below.has_value() && e->rank >= *q.rank_below) continue;
+    if (std::find(estack->begin(), estack->end(), e->id) != estack->end()) {
+      continue;
+    }
+    bool closing = nbr == src && !estack->empty();
+    if (!closing && std::find(vstack->begin(), vstack->end(), nbr) !=
+                        vstack->end()) {
+      continue;
+    }
+    const double next_sum = sum + e->w;
+    // Weights are positive, so a sum bound also cuts every longer path.
+    if (q.sum_below.has_value() && !(next_sum < *q.sum_below)) continue;
+    estack->push_back(e->id);
+    vstack->push_back(nbr);
+    size_t len = estack->size();
+    if (len >= q.min_len && len <= q.max_len &&
+        (!q.end_vertex.has_value() || nbr == *q.end_vertex) &&
+        (!q.end_not.has_value() || nbr != *q.end_not)) {
+      ++*count;
+    }
+    if (!closing && len < q.max_len) {
+      CountEnumerate(g, q, src, nbr, next_sum, vstack, estack, count);
+    }
+    estack->pop_back();
+    vstack->pop_back();
+  }
+}
+
+uint64_t CountReference(const DiffGraph& g, const CountQuery& q) {
+  uint64_t count = 0;
+  for (const std::optional<int64_t>& src : q.starts) {
+    if (!src.has_value() || *src < 0 || *src >= g.n) continue;
+    std::vector<int64_t> vs{*src}, es;
+    CountEnumerate(g, q, *src, *src, 0.0, &vs, &es, &count);
+  }
+  return count;
+}
+
+void RunCountDifferentialSweep(uint64_t seed, int trials) {
+  SCOPED_TRACE(StrFormat("count-diff seed=%llu",
+                         static_cast<unsigned long long>(seed)));
+  const uint64_t tasks_before =
+      MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
+  Random rng(seed);
+  DiffGraph graph;
+  Database db;
+  Session session(db);
+  LoadDiffGraph(&rng, 12, &db, &session, &graph);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(session.ExecuteScript(StrFormat(
+                  "CREATE %s GRAPH VIEW g VERTEXES (ID = id, name = name) "
+                  "FROM v EDGES (ID = id, FROM = src, TO = dst, w = w, "
+                  "rank = rank) FROM e;",
+                  graph.directed ? "DIRECTED" : "UNDIRECTED"))
+                  .ok());
+
+  // Seed table for the join-probe form: duplicate ids, an id outside the
+  // view and a NULL id (which joins nothing).
+  std::vector<std::optional<int64_t>> seeds;
+  ASSERT_TRUE(
+      session.Execute("CREATE TABLE seeds (k BIGINT PRIMARY KEY, id BIGINT)")
+          .ok());
+  std::vector<std::vector<Value>> seed_rows;
+  const int64_t num_seeds = rng.Uniform(3, 8);
+  for (int64_t k = 0; k < num_seeds; ++k) {
+    std::optional<int64_t> id = rng.Uniform(0, graph.n - 1);
+    if (k > 0 && rng.Bernoulli(0.3)) id = seeds[0];  // Duplicate.
+    if (rng.Bernoulli(0.1)) id = graph.n + 5;        // Not in the view.
+    if (rng.Bernoulli(0.1)) id.reset();              // NULL.
+    seeds.push_back(id);
+    seed_rows.push_back({Value::BigInt(k), id.has_value()
+                                               ? Value::BigInt(*id)
+                                               : Value::Null()});
+  }
+  ASSERT_TRUE(db.BulkInsert("seeds", seed_rows).ok());
+
+  std::vector<std::optional<int64_t>> all_vertexes;
+  for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
+
+  bool fanned_out = false;
+  for (int trial = 0; trial < trials; ++trial) {
+    CountQuery q;
+    q.max_len = static_cast<size_t>(rng.Uniform(1, 3));
+    q.min_len = rng.Bernoulli(0.5)
+                    ? q.max_len
+                    : static_cast<size_t>(rng.Uniform(1, q.max_len));
+    std::vector<std::string> conjuncts;
+    if (q.min_len == q.max_len) {
+      conjuncts.push_back(StrFormat("P.Length = %zu", q.max_len));
+    } else {
+      if (q.min_len > 1) {
+        conjuncts.push_back(StrFormat("P.Length >= %zu", q.min_len));
+      }
+      conjuncts.push_back(StrFormat("P.Length <= %zu", q.max_len));
+    }
+    std::string from = "g.Paths P";
+    const int64_t start_mode = rng.Uniform(0, 2);
+    if (start_mode == 0) {  // Bound start.
+      int64_t s = rng.Uniform(0, graph.n - 1);
+      q.starts = {s};
+      conjuncts.push_back(
+          StrFormat("P.StartVertex.Id = %lld", static_cast<long long>(s)));
+    } else if (start_mode == 1) {  // Join probe over the seed table.
+      q.starts = seeds;
+      from = "seeds S, " + from;
+      conjuncts.push_back("P.StartVertex.Id = S.id");
+    } else {  // Unbound start: multi-source, fans out at parallelism 4.
+      q.starts = all_vertexes;
+    }
+    if (rng.Bernoulli(0.4)) {
+      q.rank_below = rng.Uniform(10, 90);
+      conjuncts.push_back(StrFormat("P.Edges[0..*].rank < %lld",
+                                    static_cast<long long>(*q.rank_below)));
+    }
+    if (rng.Bernoulli(0.3)) {
+      q.sum_below = static_cast<double>(rng.Uniform(2, 9));
+      conjuncts.push_back(StrFormat("SUM(P.Edges.w) < %.1f", *q.sum_below));
+    }
+    if (rng.Bernoulli(0.2)) {
+      q.end_vertex = rng.Uniform(0, graph.n - 1);
+      conjuncts.push_back(StrFormat("P.EndVertex.Id = %lld",
+                                    static_cast<long long>(*q.end_vertex)));
+    }
+    if (rng.Bernoulli(0.3)) {
+      q.end_not = rng.Uniform(0, graph.n - 1);
+      conjuncts.push_back(StrFormat("P.EndVertex.Id <> %lld",
+                                    static_cast<long long>(*q.end_not)));
+    }
+    // Engine: DFS, per-path BFS, frontier BFS, or SPScan.
+    const int64_t engine = rng.Uniform(0, 3);
+    const char* hint = engine == 0   ? " HINT(DFS)"
+                       : engine == 3 ? " HINT(SHORTESTPATH(w))"
+                                     : " HINT(BFS)";
+    session.options().frontier_min_batch = engine == 2 ? 1 : 1 << 20;
+    const int64_t form = rng.Uniform(0, 2);
+    const char* select = form == 0   ? "SELECT COUNT(P)"
+                         : form == 1 ? "SELECT COUNT(*)"
+                                     : "SELECT COUNT(*), COUNT(P)";
+    q.sql = StrFormat("%s FROM %s%s WHERE ", select, from.c_str(), hint);
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (i > 0) q.sql += " AND ";
+      q.sql += conjuncts[i];
+    }
+    SCOPED_TRACE(q.sql);
+    if (start_mode == 2 && engine != 2) fanned_out = true;
+
+    const uint64_t expected = CountReference(graph, q);
+    for (size_t parallelism : {size_t{1}, size_t{4}}) {
+      session.options().max_parallelism = parallelism;
+      session.options().parallel_min_rows = 1;
+      session.options().parallel_min_starts = 1;
+      auto plan = session.Execute("EXPLAIN " + q.sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      std::string text;
+      for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
+      EXPECT_NE(text.find("PathCount["), std::string::npos) << text;
+      EXPECT_EQ(engine == 2, text.find(", frontier") != std::string::npos)
+          << text;
+      auto result = session.Execute(q.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->NumRows(), 1u);
+      for (const Value& v : result->rows[0]) {
+        EXPECT_EQ(v.AsBigInt(), static_cast<int64_t>(expected))
+            << "parallelism=" << parallelism;
+      }
+    }
+  }
+  if (fanned_out) {
+    const uint64_t tasks_after =
+        MetricsRegistry::Global().GetCounter("taskpool_tasks_total")->value();
+    EXPECT_GT(tasks_after, tasks_before)
+        << "no task-pool work observed: count fan-out never engaged";
+  }
+}
+
+class CountDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CountDiffFuzzTest, PushedCountsMatchReference) {
+  // 8 seeds x 24 queries x 2 parallelism levels.
+  RunCountDifferentialSweep(GetParam(), /*trials=*/24);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CountDiffFuzzTest,
+                         ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+TEST(CountDiffFuzzEnvTest, EnvironmentSeedSweep) {
+  uint64_t seed = 20261018;
+  if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  RunCountDifferentialSweep(seed, /*trials=*/12);
 }
 
 // ---------------------------------------------------------------------------
