@@ -274,6 +274,20 @@ class GraphView {
     if (!directed()) EnumerateSide(v, /*out_side=*/false, fn);
   }
 
+  /// Enumerates the edges a traversal may use to *enter* `v`: in-edges, or
+  /// on an undirected view exactly ForEachNeighbor's enumeration. Calls
+  /// fn(const EdgeEntry&, VertexId neighbor) with the neighbor the edge
+  /// comes from; stops early when fn returns false. Backward search from a
+  /// bound target walks this.
+  template <typename Fn>
+  void ForEachReverseNeighbor(const VertexEntry& v, Fn&& fn) const {
+    if (!directed()) {
+      ForEachNeighbor(v, fn);
+      return;
+    }
+    EnumerateSide(v, /*out_side=*/false, fn);
+  }
+
   /// Enumerates every incident edge of `v` — out then in, regardless of the
   /// view's directedness (connected components, integrity sweeps). Calls
   /// fn(const EdgeEntry&, VertexId other_endpoint); stops early when fn

@@ -20,6 +20,17 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
   fast_level_ = 0;
   fast_current_.clear();
   fast_next_.clear();
+  bidir_ = false;
+  bidir_done_ = false;
+  for (BidirSide* side : {&fwd_, &bwd_}) {
+    side->level.clear();
+    side->next.clear();
+    side->radius = 0;
+    side->volume = 0;
+  }
+  const bool target_is_start =
+      target.has_value() &&
+      std::find(starts.begin(), starts.end(), *target) != starts.end();
   GRF_RETURN_IF_ERROR(
       PathScanner::Reset(std::move(starts), target, outer_row));
   // The base Reset seeded the BFS deque (and, in global_visited mode, the
@@ -33,33 +44,17 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
     visited_map_.assign(csr_->NumVertexes(), 0);
     for (VertexId id : visited_) {
       const size_t i = csr_->IndexOf(id);
-      if (i != CsrTopology::kAbsent) visited_map_[i] = 1;
+      if (i != CsrTopology::kAbsent) visited_map_[i] = kForwardSide;
     }
     visited_.clear();
 
-    // Arm the BFS-forest fast path: seeds become level-0 claim events, the
-    // Candidate buffer is retired, and the per-vertex parent/root/sum arrays
-    // replace per-candidate path prefixes in the memory charge.
+    // BFS-forest fast path: the seeds become CSR indexes, and the Candidate
+    // buffer is retired from the memory charge.
     fast_ = true;
-    fast_level_ = 0;
-    const size_t v_count = csr_->NumVertexes();
-    const size_t bounds = spec_->sum_bounds.size();
-    fast_parent_.assign(v_count, kNoParent);
-    fast_parent_edge_.assign(v_count, 0);
-    fast_root_.assign(v_count, 0);
-    fast_sums_.assign(v_count * bounds, 0.0);
-    fast_current_.clear();
-    fast_next_.clear();
     for (const Candidate& seed : current_) {
       const size_t i = csr_->IndexOf(seed.path.StartVertex());
       if (i == CsrTopology::kAbsent) continue;
-      fast_root_[i] = seed.path.StartVertex();
-      for (size_t b = 0; b < bounds; ++b) {
-        fast_sums_[i * bounds + b] = seed.sums[b];
-      }
-      FastEvent ev;
-      ev.vertex = static_cast<uint32_t>(i);
-      fast_current_.push_back(std::move(ev));
+      fwd_.level.push_back(static_cast<uint32_t>(i));
     }
     for (const Candidate& seed : current_) {
       const size_t bytes = CandidateBytes(seed.path);
@@ -67,14 +62,68 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
       charged_ -= std::min(charged_, bytes);
     }
     current_.clear();
-    const size_t array_bytes =
-        v_count * (sizeof(uint32_t) + sizeof(EdgeId) + sizeof(VertexId) + 1 +
-                   bounds * sizeof(double)) +
-        fast_current_.size() * FastEventBytes(bounds);
-    charged_ += array_bytes;
-    (void)ctx_->ChargeBytes(array_bytes);
+
+    // A bound target that is not a start, without sum bounds (which need a
+    // full prefix per vertex) and with only position-free pushed predicates
+    // (the backward side cannot know an element's position): meet in the
+    // middle. Every other forest probe keeps the one-sided loop.
+    const auto& preds = spec_->element_preds;
+    const bool position_free =
+        !spec_->push_filters ||
+        std::all_of(preds.begin(), preds.end(), [](const auto& pred) {
+          return pred->lo() == 0 &&
+                 pred->hi() == PathRangePredicateExpr::kOpenEnd;
+        });
+    if (target_.has_value() && !target_is_start &&
+        spec_->sum_bounds.empty() && position_free) {
+      bidir_ = true;
+      const size_t v_count = csr_->NumVertexes();
+      if (bidir_capacity_ < v_count) {
+        bidir_parent_ = std::make_unique_for_overwrite<uint32_t[]>(v_count);
+        bidir_parent_edge_ =
+            std::make_unique_for_overwrite<EdgeId[]>(v_count);
+        bidir_depth_ = std::make_unique_for_overwrite<uint32_t[]>(v_count);
+        bidir_capacity_ = v_count;
+      }
+      for (uint32_t i : fwd_.level) {
+        bidir_parent_[i] = kNoParent;
+        fwd_.volume += BidirDegree(i, /*forward=*/true);
+      }
+      const size_t array_bytes =
+          v_count * (1 + 2 * sizeof(uint32_t) + sizeof(EdgeId)) +
+          fwd_.level.size() * sizeof(uint32_t);
+      charged_ += array_bytes;
+      (void)ctx_->ChargeBytes(array_bytes);
+    } else {
+      ArmForest();
+    }
   }
   return Status::OK();
+}
+
+void FrontierScanner::ArmForest() {
+  bidir_ = false;
+  fast_level_ = 0;
+  const size_t v_count = csr_->NumVertexes();
+  const size_t bounds = spec_->sum_bounds.size();
+  fast_parent_.assign(v_count, kNoParent);
+  fast_parent_edge_.assign(v_count, 0);
+  fast_root_.assign(v_count, 0);
+  fast_sums_.assign(v_count * bounds, 0.0);  // Seeds start at zero sums.
+  fast_current_.clear();
+  fast_next_.clear();
+  for (uint32_t i : fwd_.level) {
+    fast_root_[i] = csr_->vertex_ids[i];
+    FastEvent ev;
+    ev.vertex = i;
+    fast_current_.push_back(std::move(ev));
+  }
+  const size_t array_bytes =
+      v_count * (sizeof(uint32_t) + sizeof(EdgeId) + sizeof(VertexId) + 1 +
+                 bounds * sizeof(double)) +
+      fast_current_.size() * FastEventBytes(bounds);
+  charged_ += array_bytes;
+  (void)ctx_->ChargeBytes(array_bytes);
 }
 
 void FrontierScanner::Release() {
@@ -91,6 +140,13 @@ void FrontierScanner::Release() {
   fast_parent_edge_.clear();
   fast_root_.clear();
   fast_sums_.clear();
+  bidir_ = false;
+  fwd_ = BidirSide();
+  bwd_ = BidirSide();
+  bidir_parent_.reset();
+  bidir_parent_edge_.reset();
+  bidir_depth_.reset();
+  bidir_capacity_ = 0;
   PathScanner::Release();
 }
 
@@ -115,6 +171,10 @@ bool FrontierScanner::ClaimVisited(VertexId id) {
 }
 
 StatusOr<bool> FrontierScanner::Run(PathPtr* out, uint64_t* count) {
+  if (bidir_) {
+    if (out != nullptr) return BidirRun(out);
+    ArmForest();  // Count mode runs the one-sided forest to exhaustion.
+  }
   if (fast_) return FastRun(out, count);
   while (true) {
     // Phase A: qualify and emit the current level, in frontier order, before
@@ -502,6 +562,218 @@ PathScanner::Candidate FrontierScanner::FastMaterialize(
             static_cast<std::ptrdiff_t>(ev.vertex * bounds),
         fast_sums_.begin() +
             static_cast<std::ptrdiff_t>((ev.vertex + 1) * bounds));
+  }
+  return candidate;
+}
+
+// --- Bidirectional probe ---------------------------------------------------
+//
+// The one-sided forest claims every vertex once, in level order, from the
+// first admissible edge (in enumeration order) of the first vertex of the
+// previous level that reaches it. Level order is therefore lexicographic
+// order of the tree paths (by start, then adjacency position per hop), and
+// the emitted witness is the lexicographically first minimum-hop path to
+// the target. With every pushed predicate position-free, the bidirectional
+// search below reproduces that path exactly: the forward side is the same
+// forest up to the meeting depth, so its level order and parents agree;
+// the witness's prefix is the tree path to the first vertex of that level
+// with a backward depth that completes a minimum-hop path, and its suffix is
+// the greedy descent (first admissible edge towards backward depth - 1).
+
+size_t FrontierScanner::BidirDegree(size_t i, bool forward) const {
+  const size_t out = csr_->OutEnd(i) - csr_->OutBegin(i);
+  const size_t in = csr_->InEnd(i) - csr_->InBegin(i);
+  if (!spec_->gv->directed()) return out + in;
+  return forward ? out : in;
+}
+
+StatusOr<bool> FrontierScanner::BidirRun(PathPtr* out) {
+  if (bidir_done_) return false;
+  bidir_done_ = true;
+  ++bidir_probes_;
+
+  const size_t t = csr_->IndexOf(*target_);
+  if (t == CsrTopology::kAbsent) return false;
+  if (spec_->push_filters && vertex_preds_) {
+    GRF_ASSIGN_OR_RETURN(bool ok,
+                         VertexAdmissible(spec_->gv->CsrVertex(t), 1));
+    if (!ok) {
+      ++ctx_->stats().paths_pruned;
+      return false;
+    }
+  }
+  visited_map_[t] |= kBackwardSide;
+  bidir_depth_[t] = 0;
+  bwd_.level.push_back(static_cast<uint32_t>(t));
+  bwd_.volume = BidirDegree(t, /*forward=*/false);
+  charged_ += sizeof(uint32_t);
+  (void)ctx_->ChargeBytes(sizeof(uint32_t));
+
+  // Invariant between steps: the forward ball of radius fwd_.radius and the
+  // backward ball of radius bwd_.radius share no vertex, so every path is
+  // longer than the two radii together.
+  uint32_t meet = kNoParent;
+  while (meet == kNoParent) {
+    if (fwd_.level.empty() || bwd_.level.empty()) return false;
+    if (fwd_.radius + bwd_.radius >= max_length_) return false;
+    const bool forward = fwd_.volume <= bwd_.volume;
+    GRF_RETURN_IF_ERROR(BidirExpand(forward, &meet));
+    if (meet != kNoParent && !forward) {
+      // The backward level is complete, so every forward-frontier vertex on
+      // a minimum-hop path carries the backward bit: take the first one.
+      for (uint32_t x : fwd_.level) {
+        if ((visited_map_[x] & kBackwardSide) != 0) {
+          meet = x;
+          break;
+        }
+      }
+    }
+  }
+  // The balls touched at `meet`: forward depth fwd_.radius, backward depth
+  // bwd_.radius, and no shorter path exists.
+  const size_t length = fwd_.radius + bidir_depth_[meet];
+  if (length < min_length_ || length > max_length_) return false;
+  GRF_ASSIGN_OR_RETURN(Candidate candidate, BidirWitness(meet));
+  GRF_ASSIGN_OR_RETURN(bool qualifies, Qualifies(candidate));
+  if (!qualifies) return false;
+  ++ctx_->stats().paths_emitted;
+  *out = std::make_shared<const PathData>(std::move(candidate.path));
+  return true;
+}
+
+Status FrontierScanner::BidirExpand(bool forward, uint32_t* meet) {
+  BidirSide& side = forward ? fwd_ : bwd_;
+  const char mine = forward ? kForwardSide : kBackwardSide;
+  const char theirs = forward ? kBackwardSide : kForwardSide;
+  const uint32_t depth = static_cast<uint32_t>(side.radius + 1);
+  side.next.clear();
+  size_t volume = 0;
+  *meet = kNoParent;
+  for (uint32_t u : side.level) {
+    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    ++ctx_->stats().vertexes_expanded;
+    Status status = Status::OK();
+    // Same admission as the forest's: pushed predicates are position-free
+    // here, so the edge index passed is only a placeholder.
+    auto claim = [&](const EdgeEntry& edge, VertexId nbr) {
+      ++ctx_->stats().edges_examined;
+      const size_t j = csr_->IndexOf(nbr);
+      if (j == CsrTopology::kAbsent || (visited_map_[j] & mine) != 0) {
+        return true;
+      }
+      if (spec_->push_filters) {
+        if (edge_preds_) {
+          auto edge_ok = EdgeAdmissible(edge, side.radius);
+          if (!edge_ok.ok()) {
+            status = edge_ok.status();
+            return false;
+          }
+          if (!*edge_ok) {
+            ++ctx_->stats().paths_pruned;
+            return true;
+          }
+        }
+        if (vertex_preds_) {
+          auto vertex_ok =
+              VertexAdmissible(spec_->gv->CsrVertex(j), side.radius + 1);
+          if (!vertex_ok.ok()) {
+            status = vertex_ok.status();
+            return false;
+          }
+          if (!*vertex_ok) {
+            ++ctx_->stats().paths_pruned;
+            return true;
+          }
+        }
+      }
+      visited_map_[j] |= mine;
+      if (forward) {
+        bidir_parent_[j] = u;
+        bidir_parent_edge_[j] = edge.id;
+      } else {
+        bidir_depth_[j] = depth;
+      }
+      side.next.push_back(static_cast<uint32_t>(j));
+      volume += BidirDegree(j, forward);
+      charged_ += sizeof(uint32_t);
+      (void)ctx_->ChargeBytes(sizeof(uint32_t));
+      if ((visited_map_[j] & theirs) != 0 && *meet == kNoParent) {
+        *meet = static_cast<uint32_t>(j);
+        return !forward;
+      }
+      return true;
+    };
+    const VertexEntry& v = spec_->gv->CsrVertex(u);
+    if (forward) {
+      spec_->gv->ForEachNeighbor(v, claim);
+    } else {
+      spec_->gv->ForEachReverseNeighbor(v, claim);
+    }
+    GRF_RETURN_IF_ERROR(status);
+    if (ctx_->current_bytes() > ctx_->memory_cap()) {
+      return Status::ResourceExhausted(
+          "traversal frontier exceeded the query memory cap");
+    }
+    if (forward && *meet != kNoParent) break;
+  }
+  ctx_->stats().NoteFrontier(side.level.size() + side.next.size());
+  const size_t retired = side.level.size() * sizeof(uint32_t);
+  ctx_->ReleaseBytes(retired);
+  charged_ -= std::min(charged_, retired);
+  side.level.swap(side.next);
+  side.next.clear();
+  side.volume = volume;
+  side.radius = depth;
+  return Status::OK();
+}
+
+StatusOr<PathScanner::Candidate> FrontierScanner::BidirWitness(uint32_t x) {
+  Candidate candidate;
+  std::vector<VertexId>& vs = candidate.path.vertexes;
+  std::vector<EdgeId>& es = candidate.path.edges;
+  for (uint32_t v = x;;) {
+    vs.push_back(csr_->vertex_ids[v]);
+    const uint32_t parent = bidir_parent_[v];
+    if (parent == kNoParent) break;
+    es.push_back(bidir_parent_edge_[v]);
+    v = parent;
+  }
+  std::reverse(vs.begin(), vs.end());
+  std::reverse(es.begin(), es.end());
+
+  // Greedy descent: every hop takes the first admissible edge, in
+  // enumeration order, to a vertex one backward level closer.
+  for (uint32_t u = x, hops = bidir_depth_[x]; hops > 0; --hops) {
+    GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
+    Status status = Status::OK();
+    uint32_t next = kNoParent;
+    spec_->gv->ForEachNeighbor(
+        spec_->gv->CsrVertex(u), [&](const EdgeEntry& edge, VertexId nbr) {
+          ++ctx_->stats().edges_examined;
+          const size_t j = csr_->IndexOf(nbr);
+          if (j == CsrTopology::kAbsent ||
+              (visited_map_[j] & kBackwardSide) == 0 ||
+              bidir_depth_[j] != hops - 1) {
+            return true;
+          }
+          if (spec_->push_filters && edge_preds_) {
+            auto edge_ok = EdgeAdmissible(edge, es.size());
+            if (!edge_ok.ok()) {
+              status = edge_ok.status();
+              return false;
+            }
+            if (!*edge_ok) return true;
+          }
+          es.push_back(edge.id);
+          vs.push_back(nbr);
+          next = static_cast<uint32_t>(j);
+          return false;
+        });
+    GRF_RETURN_IF_ERROR(status);
+    if (next == kNoParent) {
+      return Status::Internal("bidirectional probe lost its witness path");
+    }
+    u = next;
   }
   return candidate;
 }

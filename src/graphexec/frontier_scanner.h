@@ -39,6 +39,13 @@ namespace grfusion {
 /// (pushed filters, sum bounds, the closing-cycle rule) mirrors ExpandCore
 /// statement for statement, so results stay byte-identical with the
 /// per-path engine.
+///
+/// A BFS-forest probe with a bound target that is not one of its starts
+/// (and no sum bounds) runs bidirectionally instead: the forward side
+/// expands from the starts, the backward side from the target over the
+/// reverse adjacency, always the side whose level has the smaller adjacency
+/// volume, until the two balls touch. The witness it reconstructs is the
+/// path the one-sided forest would have emitted (DESIGN §14).
 class FrontierScanner : public PathScanner {
  public:
   FrontierScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx)
@@ -47,6 +54,9 @@ class FrontierScanner : public PathScanner {
   Status Reset(std::vector<VertexId> starts, std::optional<VertexId> target,
                const ExecRow* outer_row) override;
   void Release() override;
+
+  /// Probes answered by the bidirectional search since construction.
+  uint64_t bidir_probes() const { return bidir_probes_; }
 
  protected:
   StatusOr<bool> Run(PathPtr* out, uint64_t* count) override;
@@ -94,6 +104,49 @@ class FrontierScanner : public PathScanner {
   /// Materializes the event's path (parent-chain walk) and its sums as a
   /// Candidate, for the shared Qualifies pipeline and emission.
   Candidate FastMaterialize(const FastEvent& ev) const;
+
+  /// Arms the one-sided forest over the seeds in fwd_.level: per-vertex
+  /// parent/root/sum arrays and the level-0 claim events.
+  void ArmForest();
+
+  // --- Bidirectional probe (BFS forest + bound target) ---
+
+  /// visited_map_ bits while a bidirectional probe runs.
+  static constexpr char kForwardSide = 1;
+  static constexpr char kBackwardSide = 2;
+
+  /// One side of the search: its current level (CSR indexes in claim
+  /// order), the level under construction, the radius (depth of `level`)
+  /// and the adjacency volume of `level`.
+  struct BidirSide {
+    std::vector<uint32_t> level, next;
+    size_t radius = 0;
+    size_t volume = 0;
+  };
+
+  /// Emits the probe's witness (or nothing) on the first call, then ends.
+  StatusOr<bool> BidirRun(PathPtr* out);
+  /// Expands one whole level of a side. `*meet` receives the first vertex
+  /// that side claims which the other side holds already (kNoParent if
+  /// none); the forward side stops right there, the backward side finishes
+  /// its level.
+  Status BidirExpand(bool forward, uint32_t* meet);
+  /// Degree of CSR index `i` on the forward or backward side.
+  size_t BidirDegree(size_t i, bool forward) const;
+  /// The forest prefix to `x` followed by the greedy descent to the target.
+  StatusOr<Candidate> BidirWitness(uint32_t x);
+
+  bool bidir_ = false;       ///< Bidirectional probe armed by Reset.
+  bool bidir_done_ = false;  ///< Its one witness was already produced.
+  uint64_t bidir_probes_ = 0;
+  BidirSide fwd_, bwd_;
+  /// Per CSR index, allocated for overwrite: an entry is written when its
+  /// side claims the vertex and read only after that (visited_map_ says
+  /// which entries are live), so no probe pays an O(V) fill for them.
+  std::unique_ptr<uint32_t[]> bidir_parent_;
+  std::unique_ptr<EdgeId[]> bidir_parent_edge_;
+  std::unique_ptr<uint32_t[]> bidir_depth_;  ///< Hops to the target.
+  size_t bidir_capacity_ = 0;
 
   bool fast_ = false;          ///< Fast path armed by Reset.
   size_t fast_level_ = 0;      ///< Depth (= path length) of fast_current_.

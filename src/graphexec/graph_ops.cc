@@ -374,8 +374,11 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
   if (spec_->frontier) {
-    scanner_ = std::make_unique<FrontierScanner>(spec_, ctx);
+    auto frontier = std::make_unique<FrontierScanner>(spec_, ctx);
+    frontier_ = frontier.get();
+    scanner_ = std::move(frontier);
   } else {
+    frontier_ = nullptr;
     scanner_ = std::make_unique<PathScanner>(spec_, ctx);
   }
   parallel_.reset();
@@ -496,9 +499,15 @@ std::string PathProbeJoinOp::name() const {
 }
 
 std::string PathProbeJoinOp::AnalyzeExtra() const {
-  if (parallel_probes_ == 0) return "";
-  std::string out = StrFormat(" parallel_probes=%llu workers=[",
-                              static_cast<unsigned long long>(parallel_probes_));
+  std::string out;
+  if (frontier_ != nullptr && frontier_->bidir_probes() > 0) {
+    out = StrFormat(
+        " bidir_probes=%llu",
+        static_cast<unsigned long long>(frontier_->bidir_probes()));
+  }
+  if (parallel_probes_ == 0) return out;
+  out += StrFormat(" parallel_probes=%llu workers=[",
+                   static_cast<unsigned long long>(parallel_probes_));
   for (size_t i = 0; i < worker_totals_.size(); ++i) {
     if (i > 0) out += " | ";
     out += StrFormat(

@@ -16,6 +16,8 @@
 
 namespace grfusion {
 
+class FrontierScanner;
+
 /// Scans the vertexes of a graph view through the in-memory topology,
 /// exposing each as a relational row (ID, attrs..., FANOUT, FANIN) — the
 /// paper's VertexScan operator (§5.1.1). Fan-in/fan-out come from the
@@ -142,6 +144,8 @@ class PathProbeJoinOp : public PhysicalOperator {
   std::shared_ptr<const TraversalSpec> spec_;
   QueryContext* ctx_ = nullptr;
   std::unique_ptr<PathScanner> scanner_;
+  /// scanner_ when it is the frontier kernel (for its bidir_probes count).
+  const FrontierScanner* frontier_ = nullptr;
   std::unique_ptr<ParallelPathProbe> parallel_;
   std::vector<ParallelPathProbe::WorkerReport> worker_totals_;
   uint64_t parallel_probes_ = 0;

@@ -676,8 +676,14 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
   }
 
   // ---- 7. Finalize traversal specs and attach path probes (§5.3 step 2).
-  const bool limit_one = (stmt.limit == 1 || stmt.top == 1) &&
-                         stmt.order_by.empty() && !stmt.distinct && !is_agg;
+  // A LIMIT/TOP bounds the probe's own output rows only when no ORDER BY,
+  // DISTINCT, aggregate, GROUP BY or HAVING sits between it and the probe;
+  // only then may it bound the traversal (SPScan's expansion cap, the
+  // visited-once reachability search).
+  const bool limit_bounds_probe =
+      stmt.order_by.empty() && !stmt.distinct && !is_agg;
+  const bool limit_one =
+      (stmt.limit == 1 || stmt.top == 1) && limit_bounds_probe;
   for (size_t i = 0; i < n; ++i) {
     const TableBinding& binding = scope.binding(i);
     if (!binding.is_path()) continue;
@@ -691,8 +697,10 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       GRF_ASSIGN_OR_RETURN(
           spec.sp_attr,
           binder.ResolveEdgeAttr(*binding.gv, binding.hint_attribute));
-      int64_t k = stmt.top >= 0 ? stmt.top : stmt.limit;
-      if (k > 0) spec.sp_expansion_cap = static_cast<size_t>(k);
+      const int64_t k = stmt.top >= 0 ? stmt.top : stmt.limit;
+      if (k > 0 && limit_bounds_probe) {
+        spec.sp_expansion_cap = static_cast<size_t>(k);
+      }
     } else if (binding.hint == TraversalHint::kDfs) {
       spec.physical = TraversalSpec::Physical::kDfs;
     } else if (binding.hint == TraversalHint::kBfs) {

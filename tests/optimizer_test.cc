@@ -331,6 +331,73 @@ TEST_F(OptimizerTest, CountPushdownDoesNotFireOtherwise) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST_F(OptimizerTest, ShortestPathCapIgnoresLimitAboveAggregate) {
+  // A LIMIT/TOP above an aggregate bounds the aggregate's rows, not the
+  // probe's: it must not become SPScan's k-shortest expansion cap, or the
+  // aggregate sees fewer paths.
+  const std::string where =
+      " WHERE PS.StartVertex.Id = 1 AND PS.Length <= 4";
+  auto count = [&](const std::string& sql) -> int64_t {
+    auto r = session_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? r->ScalarValue().AsBigInt() : -1;
+  };
+  const int64_t dfs =
+      count("SELECT COUNT(*) FROM g.Paths PS HINT(DFS)" + where);
+  EXPECT_EQ(dfs, 9);  // Every simple path out of 1.
+  const std::string sp =
+      "SELECT COUNT(*) FROM g.Paths PS HINT(SHORTESTPATH(w))" + where;
+  EXPECT_EQ(count(sp), dfs);
+  EXPECT_EQ(count(sp + " LIMIT 1"), dfs);
+  EXPECT_EQ(count("SELECT TOP 1 COUNT(*) FROM g.Paths PS "
+                  "HINT(SHORTESTPATH(w))" + where),
+            dfs);
+  // A bare TOP 1 still bounds the probe: the cheapest path comes first.
+  auto top = session_.Execute(
+      "SELECT TOP 1 PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+      "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 5");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->NumRows(), 1u);
+  EXPECT_DOUBLE_EQ(top->rows[0][0].AsNumeric(), 4.0);
+}
+
+TEST_F(OptimizerTest, ExplainAnalyzeCountsBidirectionalProbes) {
+  // An endpoint-bound LIMIT 1 probe on the frontier kernel runs as a
+  // bidirectional search; EXPLAIN ANALYZE says how many probes did. The
+  // choice is made per probe at run time, so the plan text is unchanged.
+  session_.options().frontier_min_batch = 1;
+  const std::string reach =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
+      "P.EndVertex.Id = 5 LIMIT 1";
+  auto analyze = [&](const std::string& sql) {
+    auto r = session_.Execute("EXPLAIN ANALYZE " + sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::string plan;
+    if (r.ok()) {
+      for (const auto& row : r->rows) plan += row[0].AsVarchar() + "\n";
+    }
+    return plan;
+  };
+  const std::string plan = MustExplain(reach);
+  EXPECT_NE(plan.find(", frontier"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("bidir"), std::string::npos) << plan;
+  const std::string analyzed = analyze(reach);
+  EXPECT_NE(analyzed.find("bidir_probes=1"), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("Execution: rows=1"), std::string::npos)
+      << analyzed;
+  // A join re-arms the probe per outer row, each run bidirectionally.
+  const std::string joined = analyze(
+      "SELECT P.PathString FROM v U, g.Paths P WHERE U.id <= 3 AND "
+      "P.StartVertex.Id = U.id AND P.EndVertex.Id = 5 LIMIT 1");
+  EXPECT_NE(joined.find("bidir_probes="), std::string::npos) << joined;
+  // A target among the starts keeps the one-sided forest.
+  const std::string cycle = analyze(
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
+      "P.EndVertex.Id = 1 LIMIT 1");
+  EXPECT_EQ(cycle.find("bidir_probes="), std::string::npos) << cycle;
+  session_.options().frontier_min_batch = 32;
+}
+
 TEST_F(OptimizerTest, ParameterLengthBoundBoundsTheTraversal) {
   // `Length <= ?` narrows each execution's window like the literal does:
   // same answer, same traversal work.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <queue>
 #include <set>
 
@@ -644,6 +645,205 @@ TEST_P(PathSemanticsTest, FrontierKernelShowsInPlanAndKnobDisablesIt) {
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
   session_.options().enable_frontier_bfs = true;
   session_.options().frontier_min_batch = 32;
+}
+
+// --- Bidirectional reachability probe: pinned witness cases -------------
+//
+// An endpoint-bound LIMIT 1 probe whose target is not a start runs as a
+// bidirectional search in the frontier kernel. These fixed graphs pin the
+// cases where the search's own order differs most from the one-sided
+// forest's, and check the witness row against the per-path BFS engine.
+
+class BidirWitnessTest : public ::testing::Test {
+ protected:
+  struct Edge {
+    int64_t id, src, dst, rank;
+  };
+
+  /// Creates a fresh database whose view g spans vertexes [0, n) and
+  /// `edges` (inserted in order, which fixes the adjacency enumeration
+  /// order).
+  void Load(int64_t n, const std::vector<Edge>& edges, bool directed) {
+    session_.reset();
+    db_ = std::make_unique<Database>();
+    session_ = std::make_unique<Session>(*db_);
+    ASSERT_TRUE(session_->ExecuteScript(R"sql(
+      CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
+      CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                      rank BIGINT);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows, erows;
+    for (int64_t i = 0; i < n; ++i) {
+      vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+    }
+    for (const Edge& e : edges) {
+      erows.push_back({Value::BigInt(e.id), Value::BigInt(e.src),
+                       Value::BigInt(e.dst), Value::BigInt(e.rank)});
+    }
+    ASSERT_TRUE(db_->BulkInsert("v", vrows).ok());
+    ASSERT_TRUE(db_->BulkInsert("e", erows).ok());
+    ASSERT_TRUE(session_->ExecuteScript(StrFormat(
+                        "CREATE %s GRAPH VIEW g "
+                        "VERTEXES (ID = id, name = name) FROM v "
+                        "EDGES (ID = id, FROM = src, TO = dst, rank = rank) "
+                        "FROM e;",
+                        directed ? "DIRECTED" : "UNDIRECTED"))
+                    .ok());
+  }
+
+  struct Probe {
+    std::vector<std::string> rows;
+    uint64_t edges_examined = 0;
+  };
+
+  /// Runs `sql` on the frontier kernel (bidirectional when eligible) or on
+  /// the per-path BFS engine.
+  Probe Run(const std::string& sql, bool frontier) {
+    session_->options().default_traversal = PlannerOptions::Traversal::kBfs;
+    session_->options().enable_frontier_bfs = frontier;
+    session_->options().frontier_min_batch = 1;
+    session_->options().max_parallelism = 1;
+    auto result = session_->Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    Probe probe;
+    if (!result.ok()) return probe;
+    for (const auto& row : result->rows) probe.rows.push_back(row[0].AsVarchar());
+    probe.edges_examined = session_->last_stats().edges_examined;
+    return probe;
+  }
+
+  /// EXPLAIN ANALYZE text of `sql` on the frontier kernel.
+  std::string Analyze(const std::string& sql) {
+    auto result = session_->Execute("EXPLAIN ANALYZE " + sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::string plan;
+    if (result.ok()) {
+      for (const auto& row : result->rows) plan += row[0].AsVarchar() + "\n";
+    }
+    return plan;
+  }
+
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(BidirWitnessTest, BackwardSideExpandsFirstFromLeafTarget) {
+  // Hub 0 reaches 1..40, each of which leads on to a private leaf 100+i;
+  // target 41 is entered only from 7 and 3, listed in that order. The
+  // target's volume (2) is far below the hub's (40), so the backward side
+  // expands first and claims 7 before 3 — yet the witness is the forward
+  // forest's: 0 enumerates 3 before 7.
+  std::vector<Edge> edges;
+  for (int64_t i = 1; i <= 40; ++i) edges.push_back({i, 0, i, 0});
+  for (int64_t i = 1; i <= 40; ++i) edges.push_back({100 + i, i, 100 + i, 0});
+  edges.push_back({200, 7, 41, 0});
+  edges.push_back({201, 3, 41, 0});
+  Load(141, edges, /*directed=*/true);
+
+  const std::string sql =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 41 LIMIT 1";
+  const Probe bidir = Run(sql, /*frontier=*/true);
+  const Probe per_path = Run(sql, /*frontier=*/false);
+  ASSERT_EQ(bidir.rows.size(), 1u);
+  EXPECT_EQ(bidir.rows[0], "0 -[3]-> 3 -[201]-> 41");
+  EXPECT_EQ(bidir.rows, per_path.rows);
+  // The one-sided search expands the whole first level (80+ edges); the
+  // backward-first search meets after a handful.
+  EXPECT_LT(bidir.edges_examined, 16u);
+  EXPECT_GT(per_path.edges_examined, 80u);
+  session_->options().enable_frontier_bfs = true;
+  EXPECT_NE(Analyze(sql).find("bidir_probes=1"), std::string::npos);
+}
+
+TEST_F(BidirWitnessTest, GridTiesFollowTheLexicographicRule) {
+  // A k x k grid (row-major ids) with each vertex's right edge listed before
+  // its down edge: C(2k-2, k-1) minimum-hop corner-to-corner paths, and
+  // many vertexes where the two balls can meet at the same depth. The
+  // lexicographically first path goes right along the top row, then down
+  // the last column.
+  constexpr int64_t k = 7;
+  for (bool directed : {true, false}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    std::vector<Edge> edges;
+    auto id = [&](int64_t r, int64_t c) { return r * k + c; };
+    for (int64_t r = 0; r < k; ++r) {
+      for (int64_t c = 0; c < k; ++c) {
+        if (c + 1 < k) {
+          edges.push_back({2 * id(r, c), id(r, c), id(r, c + 1), 0});
+        }
+        if (r + 1 < k) {
+          edges.push_back({2 * id(r, c) + 1, id(r, c), id(r + 1, c), 0});
+        }
+      }
+    }
+    Load(k * k, edges, directed);
+    std::string expected = "0";
+    for (int64_t c = 1; c < k; ++c) {
+      expected += StrFormat(" -[%lld]-> %lld",
+                            static_cast<long long>(2 * id(0, c - 1)),
+                            static_cast<long long>(id(0, c)));
+    }
+    for (int64_t r = 1; r < k; ++r) {
+      expected += StrFormat(" -[%lld]-> %lld",
+                            static_cast<long long>(2 * id(r - 1, k - 1) + 1),
+                            static_cast<long long>(id(r, k - 1)));
+    }
+    for (const char* bound : {"", " AND P.Length <= 12"}) {
+      const std::string sql = StrFormat(
+          "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 "
+          "AND P.EndVertex.Id = %lld%s LIMIT 1",
+          static_cast<long long>(k * k - 1), bound);
+      const Probe bidir = Run(sql, /*frontier=*/true);
+      ASSERT_EQ(bidir.rows.size(), 1u) << sql;
+      EXPECT_EQ(bidir.rows[0], expected) << sql;
+      EXPECT_EQ(bidir.rows, Run(sql, /*frontier=*/false).rows) << sql;
+    }
+    // One hop short of the corner-to-corner distance: no path.
+    const std::string short_sql = StrFormat(
+        "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 "
+        "AND P.EndVertex.Id = %lld AND P.Length <= 11 LIMIT 1",
+        static_cast<long long>(k * k - 1));
+    EXPECT_TRUE(Run(short_sql, /*frontier=*/true).rows.empty());
+    EXPECT_TRUE(Run(short_sql, /*frontier=*/false).rows.empty());
+  }
+}
+
+TEST_F(BidirWitnessTest, FilteredTargetEmptiesTheBackwardSideFirst) {
+  // A ring-with-chords component of 200 vertexes (all rank 0) around start
+  // 0, which fans out to 11 of them; target 300 is entered only by two
+  // rank-90 edges. The target's side is the smaller, and under `rank < 50`
+  // it has nothing to claim, so the probe ends after examining those two
+  // edges, without exploring the component the one-sided search walks.
+  std::vector<Edge> edges;
+  int64_t next_id = 0;
+  for (int64_t i = 0; i < 200; ++i) {
+    edges.push_back({next_id++, i, (i + 1) % 200, 0});
+    edges.push_back({next_id++, i, (i + 17) % 200, 0});
+  }
+  for (int64_t i = 1; i <= 9; ++i) edges.push_back({next_id++, 0, 20 * i, 0});
+  edges.push_back({next_id++, 150, 300, 90});
+  edges.push_back({next_id++, 40, 300, 90});
+  Load(301, edges, /*directed=*/true);
+
+  const std::string filtered =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 300 AND P.Edges[0..*].rank < 50 LIMIT 1";
+  const Probe bidir = Run(filtered, /*frontier=*/true);
+  const Probe per_path = Run(filtered, /*frontier=*/false);
+  EXPECT_TRUE(bidir.rows.empty());
+  EXPECT_TRUE(per_path.rows.empty());
+  EXPECT_LE(bidir.edges_examined, 2u);
+  EXPECT_GT(per_path.edges_examined, 300u);
+
+  // Without the filter the target is reachable, and both engines agree.
+  const std::string open =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
+      "P.EndVertex.Id = 300 LIMIT 1";
+  const Probe reach = Run(open, /*frontier=*/true);
+  ASSERT_EQ(reach.rows.size(), 1u);
+  EXPECT_EQ(reach.rows, Run(open, /*frontier=*/false).rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(

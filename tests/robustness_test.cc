@@ -433,6 +433,118 @@ TEST_F(CancellationEngineTest, ExplainAnalyzeAnnotatesPartialExecution) {
   EXPECT_TRUE(found) << "missing PARTIAL annotation";
 }
 
+// --- Bidirectional reachability probes under cancellation ------------------------
+
+/// Adds view `r`: two directed ring-with-chords components, A = [0, kSide)
+/// and B = [kSide, 2 kSide), with no edge between them, plus tables sa/tb
+/// of 40 vertexes from each. Every A -> B probe is unreachable, and its
+/// bidirectional search walks a whole component before one side empties.
+class BidirProbeRobustnessTest : public CancellationEngineTest {
+ protected:
+  static constexpr int64_t kSide = 5000;
+
+  void SetUp() override {
+    CancellationEngineTest::SetUp();
+    ASSERT_TRUE(session_.ExecuteScript(R"sql(
+      CREATE TABLE rv (id BIGINT PRIMARY KEY);
+      CREATE TABLE re (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+      CREATE TABLE sa (id BIGINT PRIMARY KEY);
+      CREATE TABLE tb (id BIGINT PRIMARY KEY);
+    )sql")
+                    .ok());
+    std::vector<std::vector<Value>> vrows, erows, srows, trows;
+    int64_t eid = 0;
+    for (int64_t base : {int64_t{0}, kSide}) {
+      for (int64_t i = 0; i < kSide; ++i) {
+        vrows.push_back({Value::BigInt(base + i)});
+        erows.push_back({Value::BigInt(eid++), Value::BigInt(base + i),
+                         Value::BigInt(base + (i + 1) % kSide)});
+        erows.push_back({Value::BigInt(eid++), Value::BigInt(base + i),
+                         Value::BigInt(base + (i * 7 + 3) % kSide)});
+      }
+    }
+    for (int64_t i = 0; i < 40; ++i) {
+      srows.push_back({Value::BigInt(i * 97)});
+      trows.push_back({Value::BigInt(kSide + i * 89)});
+    }
+    ASSERT_TRUE(db_.BulkInsert("rv", vrows).ok());
+    ASSERT_TRUE(db_.BulkInsert("re", erows).ok());
+    ASSERT_TRUE(db_.BulkInsert("sa", srows).ok());
+    ASSERT_TRUE(db_.BulkInsert("tb", trows).ok());
+    ASSERT_TRUE(session_.ExecuteScript(
+                      "CREATE DIRECTED GRAPH VIEW r VERTEXES (ID = id) FROM rv "
+                      "EDGES (ID = id, FROM = src, TO = dst) FROM re")
+                    .ok());
+  }
+
+  /// 1600 unreachable LIMIT 1 probes, each one bidirectional.
+  static constexpr const char* kProbes =
+      "SELECT P.PathString FROM sa A, tb B, r.Paths P "
+      "WHERE P.StartVertex.Id = A.id AND P.EndVertex.Id = B.id LIMIT 1";
+};
+
+TEST_F(BidirProbeRobustnessTest, UnreachableProbeRunsBidirectionally) {
+  auto r = session_.Execute(StrFormat(
+      "EXPLAIN ANALYZE SELECT P.PathString FROM r.Paths P WHERE "
+      "P.StartVertex.Id = 0 AND P.EndVertex.Id = %lld LIMIT 1",
+      static_cast<long long>(kSide)));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string plan;
+  for (const auto& row : r->rows) plan += row[0].AsVarchar() + "\n";
+  EXPECT_NE(plan.find("bidir_probes=1"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("Execution: rows=0"), std::string::npos) << plan;
+}
+
+TEST_F(BidirProbeRobustnessTest, DeadlineUnwindsLeakFree) {
+  RunUnboundedWithDeadline(/*parallel=*/false, kProbes);
+}
+
+TEST_F(BidirProbeRobustnessTest, MemoryCapFailsLikeTheOneSidedForest) {
+  // The per-vertex side/parent/depth arrays alone exceed a 4 KB cap: the
+  // first expansion fails with ResourceExhausted, as the one-sided forest
+  // (start == target keeps it) does, and every byte is released.
+  RunUnboundedWithDeadline(/*parallel=*/false,
+                           "SELECT P.PathString FROM r.Paths P WHERE "
+                           "P.StartVertex.Id = 0 AND P.EndVertex.Id = 5000 "
+                           "LIMIT 1",
+                           StatusCode::kResourceExhausted,
+                           /*memory_cap=*/4096);
+  RunUnboundedWithDeadline(/*parallel=*/false,
+                           "SELECT P.PathString FROM r.Paths P WHERE "
+                           "P.StartVertex.Id = 0 AND P.EndVertex.Id = 0 "
+                           "LIMIT 1",
+                           StatusCode::kResourceExhausted,
+                           /*memory_cap=*/4096);
+}
+
+TEST_F(BidirProbeRobustnessTest, KillStopsBidirectionalProbes) {
+  Session victim(db_);
+  StatusCode final_code = StatusCode::kOk;
+  std::thread runner(
+      [&] { final_code = victim.Execute(kProbes).status().code(); });
+  Session killer(db_);
+  int64_t victim_query_id = 0;
+  for (int i = 0; i < 5000 && victim_query_id == 0; ++i) {
+    auto r = killer.Execute(StrFormat(
+        "SELECT QUERY_ID FROM SYS.ACTIVE_QUERIES WHERE SESSION_ID = %lld "
+        "AND KIND = 'SELECT'",
+        static_cast<long long>(victim.id())));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!r->rows.empty()) victim_query_id = r->rows[0][0].AsBigInt();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(victim_query_id, 0) << "victim query never appeared";
+  auto kill = killer.Execute(
+      StrFormat("KILL %lld", static_cast<long long>(victim_query_id)));
+  EXPECT_TRUE(kill.ok()) << kill.status().ToString();
+  runner.join();
+  EXPECT_EQ(final_code, StatusCode::kCancelled);
+  EXPECT_EQ(db_.active_queries().size(), 0u);
+  auto after = victim.Execute("SELECT COUNT(*) FROM sa");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->ScalarValue().AsBigInt(), 40);
+}
+
 // --- Atomic graph-view maintenance under injected faults ---------------------------
 
 /// Canonical topology snapshot: vertex ids, edge triples, and each vertex's

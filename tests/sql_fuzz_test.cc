@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -1326,6 +1327,200 @@ TEST(FrontierDiffFuzzEnvTest, EnvironmentSeedSweep) {
   }
   RunFrontierDifferentialSweep(seed, /*trials=*/10);
   RunFrontierSnapshotSweep(seed + 1, /*trials=*/15);
+}
+
+// ---------------------------------------------------------------------------
+// Reachability-witness differential fuzz
+//
+// An endpoint-bound LIMIT 1 probe whose target is not a start runs as a
+// bidirectional search in the frontier kernel. It must return the exact
+// witness row of the per-path BFS engine (the lexicographically first
+// minimum-hop path), at 1 and at 4 workers, and find a path exactly when a
+// brute-force BFS does. The graphs are built to stress the witness choice:
+// long chains (deep searches where either side may expand first), chords
+// (ties between minimum-hop paths), multi-edges (ties between edges of one
+// vertex pair) and self-loops, plus vertexes without edges.
+// ---------------------------------------------------------------------------
+
+/// Minimum hop count from `src` to `dst` over edges with rank below
+/// `rank_below` (all edges when unset), or -1 when unreachable.
+int64_t WitnessHops(const DiffGraph& g, int64_t src, int64_t dst,
+                    std::optional<int64_t> rank_below) {
+  std::map<int64_t, int64_t> dist{{src, 0}};
+  std::deque<int64_t> queue{src};
+  while (!queue.empty()) {
+    const int64_t u = queue.front();
+    queue.pop_front();
+    if (u == dst) return dist[u];
+    for (auto [e, nbr] : g.Neighbors(u)) {
+      if (rank_below.has_value() && e->rank >= *rank_below) continue;
+      if (dist.emplace(nbr, dist[u] + 1).second) queue.push_back(nbr);
+    }
+  }
+  return -1;
+}
+
+void RunWitnessDifferentialSweep(uint64_t seed, int trials) {
+  SCOPED_TRACE(StrFormat("witness-diff seed=%llu",
+                         static_cast<unsigned long long>(seed)));
+  Random rng(seed);
+  DiffGraph graph;
+  graph.n = rng.Uniform(24, 64);
+  graph.directed = rng.Bernoulli(0.5);
+
+  Database db;
+  Session session(db);
+  ASSERT_TRUE(session.ExecuteScript(R"sql(
+    CREATE TABLE v (id BIGINT PRIMARY KEY, name VARCHAR);
+    CREATE TABLE e (id BIGINT PRIMARY KEY, src BIGINT, dst BIGINT,
+                    w DOUBLE, rank BIGINT);
+  )sql")
+                  .ok());
+  std::vector<std::vector<Value>> vrows;
+  for (int64_t i = 0; i < graph.n; ++i) {
+    vrows.push_back({Value::BigInt(i), Value::Varchar("v")});
+  }
+  ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
+  auto add_edge = [&](int64_t s, int64_t d) {
+    const int64_t id = static_cast<int64_t>(graph.edges.size());
+    graph.edges.push_back(DiffEdge{id, s, d, 1.0, rng.Uniform(0, 99)});
+  };
+  // Chains over a shuffled prefix of the vertexes; the rest stay isolated.
+  std::vector<int64_t> order;
+  for (int64_t i = 0; i < graph.n; ++i) order.push_back(i);
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  const size_t chained = order.size() - static_cast<size_t>(rng.Uniform(0, 3));
+  for (size_t i = 1; i < chained; ++i) {
+    if (rng.Bernoulli(0.15)) continue;  // Chain break: a new chain starts.
+    add_edge(order[i - 1], order[i]);
+  }
+  const int64_t chords = rng.Uniform(graph.n / 4, graph.n);
+  for (int64_t i = 0; i < chords; ++i) {
+    const size_t a = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(chained) - 1));
+    const size_t b = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(chained) - 1));
+    add_edge(order[a], order[b]);  // a == b makes a self-loop.
+  }
+  const size_t base_edges = graph.edges.size();
+  for (int64_t i = rng.Uniform(1, 6); i > 0 && base_edges > 0; --i) {
+    const DiffEdge twin = graph.edges[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(base_edges) - 1))];
+    add_edge(twin.src, twin.dst);  // Multi-edge.
+  }
+  std::vector<std::vector<Value>> erows;
+  for (const DiffEdge& e : graph.edges) {
+    erows.push_back({Value::BigInt(e.id), Value::BigInt(e.src),
+                     Value::BigInt(e.dst), Value::Double(e.w),
+                     Value::BigInt(e.rank)});
+  }
+  ASSERT_TRUE(db.BulkInsert("e", erows).ok());
+  ASSERT_TRUE(session.ExecuteScript(StrFormat(
+                  "CREATE %s GRAPH VIEW g VERTEXES (ID = id, name = name) "
+                  "FROM v EDGES (ID = id, FROM = src, TO = dst, w = w, "
+                  "rank = rank) FROM e;",
+                  graph.directed ? "DIRECTED" : "UNDIRECTED"))
+                  .ok());
+
+  session.options().default_traversal = PlannerOptions::Traversal::kBfs;
+  session.options().frontier_min_batch = 1;
+  auto run = [&](const std::string& sql, bool frontier, size_t parallelism) {
+    session.options().enable_frontier_bfs = frontier;
+    session.options().max_parallelism = parallelism;
+    session.options().parallel_min_rows = 1;
+    session.options().parallel_min_starts = 1;
+    auto result = session.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result;
+  };
+
+  // The sweep must exercise the bidirectional probe, not only the fallback.
+  {
+    const DiffEdge& e = graph.edges.front();
+    auto plan = run(StrFormat("EXPLAIN ANALYZE SELECT P.PathString "
+                              "FROM g.Paths P WHERE P.StartVertex.Id = %lld "
+                              "AND P.EndVertex.Id = %lld LIMIT 1",
+                              static_cast<long long>(e.src),
+                              static_cast<long long>(e.dst == e.src
+                                                         ? e.dst + 1
+                                                         : e.dst)),
+                    /*frontier=*/true, /*parallelism=*/1);
+    ASSERT_TRUE(plan.ok());
+    std::string text;
+    for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
+    ASSERT_NE(text.find("bidir_probes=1"), std::string::npos) << text;
+  }
+
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE(StrFormat("trial=%d", trial));
+    const int64_t src = order[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(order.size()) - 1))];
+    int64_t dst = rng.Uniform(0, graph.n - 1);
+    const double shape = rng.NextDouble();
+    if (shape < 0.1) dst = src;                  // Start == target.
+    else if (shape < 0.15) dst = graph.n + 7;    // Absent target.
+    const bool unbound_start = rng.Bernoulli(0.1);
+    std::optional<int64_t> max_len;
+    if (rng.Bernoulli(0.4)) max_len = rng.Uniform(1, 6);
+    std::optional<int64_t> rank_below;
+    if (rng.Bernoulli(0.5)) rank_below = rng.Uniform(20, 90);
+
+    std::string sql =
+        "SELECT P.StartVertex.Id, P.PathString FROM g.Paths P WHERE ";
+    if (!unbound_start) {
+      sql += StrFormat("P.StartVertex.Id = %lld AND ",
+                       static_cast<long long>(src));
+    }
+    sql += StrFormat("P.EndVertex.Id = %lld", static_cast<long long>(dst));
+    if (max_len.has_value()) {
+      sql += StrFormat(" AND P.Length <= %lld",
+                       static_cast<long long>(*max_len));
+    }
+    if (rank_below.has_value()) {
+      sql += StrFormat(" AND P.Edges[0..*].rank < %lld",
+                       static_cast<long long>(*rank_below));
+    }
+    sql += " LIMIT 1";
+    SCOPED_TRACE(sql);
+
+    auto off = run(sql, /*frontier=*/false, /*parallelism=*/1);
+    auto on1 = run(sql, /*frontier=*/true, /*parallelism=*/1);
+    auto on4 = run(sql, /*frontier=*/true, /*parallelism=*/4);
+    ASSERT_TRUE(off.ok() && on1.ok() && on4.ok());
+    EXPECT_EQ(DiffOrdered(*on1), DiffOrdered(*off))
+        << "frontier witness diverges from per-path BFS";
+    EXPECT_EQ(DiffOrdered(*on4), DiffOrdered(*on1))
+        << "parallel frontier witness diverges from serial";
+    if (!unbound_start && dst != src) {
+      const int64_t hops = WitnessHops(graph, src, dst, rank_below);
+      const bool reachable =
+          hops > 0 && (!max_len.has_value() || hops <= *max_len);
+      EXPECT_EQ(on1->NumRows(), reachable ? 1u : 0u)
+          << "reference hops=" << hops;
+    }
+  }
+  session.options() = PlannerOptions();
+}
+
+class WitnessDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WitnessDiffFuzzTest, BidirectionalWitnessMatchesPerPathBfs) {
+  RunWitnessDifferentialSweep(GetParam(), /*trials=*/40);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WitnessDiffFuzzTest,
+                         ::testing::Values(81, 82, 83, 84, 85, 86),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// Environment-seeded witness sweep: CI rolls a fresh seed per run.
+TEST(WitnessDiffFuzzEnvTest, EnvironmentSeedSweep) {
+  uint64_t seed = 20261019;
+  if (const char* env = std::getenv("GRF_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 10) + 9;  // Decorrelate from the rest.
+  }
+  RunWitnessDifferentialSweep(seed, /*trials=*/40);
 }
 
 // ---------------------------------------------------------------------------
