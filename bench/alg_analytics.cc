@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
-#include <memory>
 #include <string>
 #include <unordered_set>
 
@@ -46,38 +44,6 @@ void ExtractThenPageRank(::benchmark::State& state, const std::string& name) {
     // regardless, which is the point being measured.
     ::benchmark::DoNotOptimize(store.NumEdges());
   }
-}
-
-/// Adjacency-list-only twin of a dataset view, for the CSR ablation rows.
-/// Built once per dataset and cached; the analytics kernels pick their CSR
-/// fast paths automatically, so the same call measured against this twin
-/// isolates what the array layout is worth.
-const GraphView* ListOnlyView(const std::string& name) {
-  static std::map<std::string, std::unique_ptr<GraphView>> cache;
-  auto it = cache.find(name);
-  if (it != cache.end()) return it->second.get();
-  BenchEnv& env = BenchEnv::Get();
-  const GraphView* gv = env.graph_view(name);
-  GraphBuildOptions build;
-  build.build_csr = false;
-  auto twin = GraphView::Create(gv->def(), gv->vertex_table(),
-                                gv->edge_table(), build);
-  if (!twin.ok()) return nullptr;
-  return cache.emplace(name, std::move(*twin)).first->second.get();
-}
-
-void ListOnlyPageRank(::benchmark::State& state, const std::string& name) {
-  const GraphView* gv = ListOnlyView(name);
-  if (gv == nullptr) {
-    state.SkipWithError("list-only twin build failed");
-    return;
-  }
-  double checksum = 0.0;
-  for (auto _ : state) {
-    auto rank = PageRank(*gv, 10);
-    checksum = rank.empty() ? 0.0 : rank.begin()->second;
-  }
-  state.counters["checksum"] = checksum;
 }
 
 void InEngineComponents(::benchmark::State& state, const std::string& name) {
@@ -133,11 +99,6 @@ void RegisterAll() {
     ::benchmark::RegisterBenchmark(
         (std::string("Analytics/pagerank-extract/") + name).c_str(),
         [name](::benchmark::State& s) { ExtractThenPageRank(s, name); })
-        ->Unit(::benchmark::kMillisecond)
-        ->MinTime(MinBenchTime());
-    ::benchmark::RegisterBenchmark(
-        (std::string("Analytics/pagerank-listonly/") + name).c_str(),
-        [name](::benchmark::State& s) { ListOnlyPageRank(s, name); })
         ->Unit(::benchmark::kMillisecond)
         ->MinTime(MinBenchTime());
     ::benchmark::RegisterBenchmark(

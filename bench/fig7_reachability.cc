@@ -185,182 +185,6 @@ void RunParallelSweep(const std::string& path) {
   std::fprintf(stderr, "parallel sweep written to %s\n", path.c_str());
 }
 
-// --- CSR topology ablation ------------------------------------------------
-//
-// Fig. 7's own workload — endpoint-bound reachability probes over a mix of
-// hop distances — run against two physical layouts of the same graph view:
-//   list: adjacency-list-only twin view (built with build_csr_topology off)
-//         answered by the per-path BFS engine — the pre-CSR read path. Under
-//         visited-once search every candidate still carries a materialized
-//         path prefix, copied on each expansion.
-//   csr:  the standard view (immutable CSR snapshot + delta overlays)
-//         answered by the frontier kernel's BFS-forest fast path: flat
-//         index-addressed levels, parent pointers instead of path prefixes,
-//         and only the witness path ever materialized.
-// The worker-count sweep is kept for the record: visited-once probes are
-// serial by design (claims are order-sensitive), so the csr rows should be
-// flat across threads — the layout, not parallelism, is what pays here.
-// Results land in BENCH_fig7_csr.json; `speedup_vs_list` on every csr row is
-// measured against the serial list baseline of the same dataset.
-// `--topology=list` / `--topology=csr` restricts the ablation to one side.
-
-std::vector<std::string> g_topologies = {"list", "csr"};
-
-bool TopologyRequested(const char* which) {
-  return std::find(g_topologies.begin(), g_topologies.end(), which) !=
-         g_topologies.end();
-}
-
-double FrontierSweepMs(Session& db, const std::string& dataset,
-                       const std::string& view, bool frontier,
-                       size_t threads) {
-  BenchEnv& env = BenchEnv::Get();
-  // The probe mix: fig7's endpoint pairs at short, medium, and long hop
-  // distances. Pairs are computed on the base tables, so the same mix is
-  // valid for both the standard view and its `_list` twin.
-  std::vector<std::string> probes;
-  for (size_t hops : {2, 6, 10}) {
-    for (const QueryPair& q : env.pairs(dataset, hops, kQueriesPerConfig)) {
-      probes.push_back(ReachabilitySql(view, q.src, q.dst));
-    }
-  }
-  if (probes.empty()) {
-    std::fprintf(stderr, "topology ablation: no probe pairs for %s\n",
-                 dataset.c_str());
-    return -1.0;
-  }
-  auto saved_traversal = db.options().default_traversal;
-  db.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  db.options().enable_frontier_bfs = frontier;
-  db.options().frontier_min_batch = 1;
-  db.options().max_parallelism = threads;
-  db.options().parallel_min_rows = 1;
-  db.options().parallel_min_starts = 1;
-  auto run_all = [&]() -> double {  // Whole probe batch, wall ms; <0 on error.
-    auto t0 = std::chrono::steady_clock::now();
-    for (const std::string& sql : probes) {
-      auto result = db.Execute(sql);
-      if (!result.ok()) {
-        std::fprintf(stderr, "topology ablation failed on %s: %s\n",
-                     view.c_str(), result.status().ToString().c_str());
-        return -1.0;
-      }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-               .count() /
-           1000.0;
-  };
-  (void)run_all();  // Warm-up, then median of 3 timed runs.
-  std::vector<double> runs;
-  for (int i = 0; i < 3; ++i) {
-    double ms = run_all();
-    if (ms < 0) {
-      runs.clear();
-      break;
-    }
-    runs.push_back(ms);
-  }
-  db.options().default_traversal = saved_traversal;
-  db.options().enable_frontier_bfs = true;
-  db.options().frontier_min_batch = 32;
-  db.options().max_parallelism = 0;
-  db.options().parallel_min_rows = 2048;
-  db.options().parallel_min_starts = 8;
-  if (runs.empty()) return -1.0;
-  std::sort(runs.begin(), runs.end());
-  return runs[runs.size() / 2];
-}
-
-void RunTopologyAblation(const std::string& path) {
-  BenchEnv& env = BenchEnv::Get();
-  // Adjacency-list-only twins of each dataset view, over the same base
-  // tables. Built through a dedicated session so the opt-out stays local.
-  if (TopologyRequested("list")) {
-    Session ddl(env.grfusion());
-    ddl.options().build_csr_topology = false;
-    for (const char* name : kDatasetNames) {
-      const Dataset& dataset = env.dataset(name);
-      auto created = ddl.ExecuteScript(StrFormat(
-          "CREATE %s GRAPH VIEW %s_list "
-          "VERTEXES (ID = id, name = name, kind = kind, score = score) "
-          "FROM %s_v EDGES (ID = id, FROM = src, TO = dst, "
-          "weight = weight, label = label, rank = rank) FROM %s_e;",
-          dataset.directed ? "DIRECTED" : "UNDIRECTED", name, name, name));
-      if (!created.ok()) {
-        std::fprintf(stderr, "cannot build %s_list: %s\n", name,
-                     created.ToString().c_str());
-        return;
-      }
-    }
-  }
-  Session& db = env.session();
-  std::string json = "[\n";
-  bool first = true;
-  auto emit = [&](const char* name, const char* topology, size_t threads,
-                  double ms, double speedup, size_t csr_bytes) {
-    if (!first) json += ",\n";
-    first = false;
-    json += StrFormat(
-        "  {\"dataset\": \"%s\", \"topology\": \"%s\", \"threads\": %zu, "
-        "\"ms\": %.3f, \"speedup_vs_list\": %.3f, \"csr_bytes\": %zu}",
-        name, topology, threads, ms, speedup, csr_bytes);
-    std::fprintf(stderr,
-                 "Fig7/TopologyAblation/%s %s threads=%zu %.3f ms "
-                 "(speedup vs list %.2fx)\n",
-                 name, topology, threads, ms, speedup);
-  };
-  for (const char* name : kDatasetNames) {
-    double list_ms = -1.0;
-    if (TopologyRequested("list")) {
-      list_ms = FrontierSweepMs(db, name, std::string(name) + "_list",
-                                /*frontier=*/false, /*threads=*/1);
-      if (list_ms > 0) emit(name, "list", 1, list_ms, 1.0, 0);
-    }
-    if (!TopologyRequested("csr")) continue;
-    const GraphView* gv = env.graph_view(name);
-    const size_t csr_bytes = gv != nullptr ? gv->CsrBytes() : 0;
-    for (size_t threads : g_thread_sweep) {
-      double ms = FrontierSweepMs(db, name, name, /*frontier=*/true, threads);
-      if (ms < 0) continue;
-      double speedup = (list_ms > 0 && ms > 0) ? list_ms / ms : 0.0;
-      emit(name, "csr", threads, ms, speedup, csr_bytes);
-    }
-  }
-  json += "\n]\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "topology ablation written to %s\n", path.c_str());
-}
-
-/// Consumes a `--topology=list,csr` argument (which layouts the ablation
-/// measures) before google-benchmark sees the command line.
-void ParseTopology(int* argc, char** argv) {
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--topology=", 0) != 0) continue;
-    g_topologies.clear();
-    std::string list = arg.substr(11);
-    size_t pos = 0;
-    while (pos < list.size()) {
-      size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      std::string v = list.substr(pos, comma - pos);
-      if (v == "list" || v == "csr") g_topologies.push_back(v);
-      pos = comma + 1;
-    }
-    if (g_topologies.empty()) g_topologies = {"list", "csr"};
-    for (int j = i; j + 1 < *argc; ++j) argv[j] = argv[j + 1];
-    --*argc;
-    return;
-  }
-}
-
 // --- Cancellation-overhead sweep ------------------------------------------
 //
 // The robustness layer must cost ~nothing when not in use. Three variants of
@@ -513,12 +337,10 @@ void RegisterAll() {
 
 int main(int argc, char** argv) {
   grfusion::bench::ParseThreadSweep(&argc, argv);
-  grfusion::bench::ParseTopology(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   grfusion::bench::RegisterAll();
   ::benchmark::RunSpecifiedBenchmarks();
   grfusion::bench::RunParallelSweep("BENCH_fig7_parallel.json");
-  grfusion::bench::RunTopologyAblation("BENCH_fig7_csr.json");
   grfusion::bench::RunCancellationOverheadSweep("BENCH_fig7_robustness.json");
   grfusion::bench::DumpEngineMetrics("BENCH_fig7_metrics.json");
   ::benchmark::Shutdown();

@@ -951,7 +951,6 @@ StatusOr<ResultSet> Session::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
 StatusOr<ResultSet> Session::ExecuteCreateGraphView(
     const CreateGraphViewStmt& stmt) {
   GraphBuildOptions build;
-  build.build_csr = options_.build_csr_topology;
   const size_t parallelism = options_.effective_parallelism();
   if (parallelism > 1) {
     build.pool = &TaskPool::Shared();

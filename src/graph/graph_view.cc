@@ -167,8 +167,7 @@ StatusOr<std::unique_ptr<GraphView>> GraphView::Create(
   // The initial build above mutates the base directly; managed mode (delta
   // overlays) only governs online maintenance from here on.
   gv->managed_ = build.managed;
-  gv->build_csr_ = build.build_csr;
-  if (build.build_csr) gv->RebuildCsr();
+  gv->RebuildCsr();
 
   // From now on, source mutations flow into the topology transactionally.
   gv->vertex_listener_ = std::make_unique<SourceListener>(gv.get(), true);
@@ -641,7 +640,7 @@ Status GraphView::FoldDeltas() {
   }
   // Re-materialize the CSR snapshot over the folded base (and absorb the
   // folded entries' edit vectors back into contiguous arrays).
-  if (build_csr_) RebuildCsr();
+  RebuildCsr();
   ++folds_;
   return Status::OK();
 }

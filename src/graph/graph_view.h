@@ -36,10 +36,6 @@ struct GraphBuildOptions {
   /// consistent topology while a writer mutates. Standalone views (tests,
   /// rebuild verification) leave this false and mutate the base directly.
   bool managed = false;
-  /// Materialize an immutable CSR snapshot of the topology at build time
-  /// (re-produced by every FoldDeltas). Off = adjacency-list-only layout,
-  /// kept for A/B ablation benches.
-  bool build_csr = true;
 };
 
 /// Sentinel for VertexEntry::csr_pos: the vertex is not in the CSR snapshot.
@@ -53,11 +49,10 @@ inline constexpr size_t kNoCsrPos = static_cast<size_t>(-1);
 /// small per-vertex edit vectors. When the vertex is in the snapshot
 /// (csr_pos != kNoCsrPos), its effective adjacency per side is the CSR slice
 /// minus the ids in *_removed, followed by the ids in out_edges/in_edges
-/// (appends since the snapshot), in that order. When it is not (fresh
-/// vertices, or a view built without CSR), out_edges/in_edges hold the full
-/// adjacency exactly as in the pre-CSR layout. This keeps delta overlays
-/// cheap: shadowing a high-degree vertex copies a few small edit vectors,
-/// never the whole adjacency.
+/// (appends since the snapshot), in that order. When it is not (vertexes
+/// inserted since the snapshot), out_edges/in_edges hold the full
+/// adjacency. This keeps delta overlays cheap: shadowing a high-degree
+/// vertex copies a few small edit vectors, never the whole adjacency.
 ///
 /// Invariants: an id never appears twice in one edit vector; an id in the
 /// append vector that is also in the vertex's CSR slice is always in the
@@ -303,8 +298,8 @@ class GraphView {
 
   // --- CSR snapshot (read-path layout) --------------------------------------
 
-  /// The immutable CSR snapshot, or nullptr for a view built with
-  /// build_csr = false. Valid between folds; per-vertex edit vectors layer
+  /// The immutable CSR snapshot, built by Create and re-produced by every
+  /// FoldDeltas. Valid between folds; per-vertex edit vectors layer
   /// post-snapshot changes on top.
   const CsrTopology* csr() const { return csr_.get(); }
 
@@ -317,15 +312,15 @@ class GraphView {
   }
 
   /// True when the CSR arrays alone describe the calling scope's visible
-  /// topology exactly: a snapshot exists, no base mutation landed since it
+  /// topology exactly: no base mutation landed since the snapshot
   /// was produced, and no delta overlay is visible. Batch kernels and
   /// graphalg fast paths key off this to run bitmap/index-addressed.
   bool PureCsr() const {
-    return csr_ != nullptr && !csr_dirty_ && VisibleDelta() == nullptr;
+    return !csr_dirty_ && VisibleDelta() == nullptr;
   }
 
-  /// Bytes held by the CSR snapshot's arrays (0 without one).
-  size_t CsrBytes() const { return csr_ != nullptr ? csr_->Bytes() : 0; }
+  /// Bytes held by the CSR snapshot's arrays.
+  size_t CsrBytes() const { return csr_->Bytes(); }
 
   /// Number of FoldDeltas applications that rebuilt the base (SYS column).
   size_t Folds() const { return folds_; }
@@ -421,12 +416,12 @@ class GraphView {
 
   /// Re-materializes the CSR snapshot from the current base (old snapshot +
   /// edit vectors), then clears every base vertex's edits. Called at the end
-  /// of Create() and FoldDeltas() when build_csr is on.
+  /// of Create() and FoldDeltas().
   void RebuildCsr();
 
   /// Length of a vertex's CSR slice on one side (0 when not in the CSR).
   size_t CsrSideLen(const VertexEntry& v, bool out_side) const {
-    if (csr_ == nullptr || v.csr_pos == kNoCsrPos) return 0;
+    if (v.csr_pos == kNoCsrPos) return 0;
     return out_side ? csr_->OutEnd(v.csr_pos) - csr_->OutBegin(v.csr_pos)
                     : csr_->InEnd(v.csr_pos) - csr_->InBegin(v.csr_pos);
   }
@@ -435,7 +430,7 @@ class GraphView {
   /// then appends). Returns false when fn stopped the enumeration.
   template <typename Fn>
   bool EnumerateSide(const VertexEntry& v, bool out_side, Fn&& fn) const {
-    if (csr_ != nullptr && v.csr_pos != kNoCsrPos) {
+    if (v.csr_pos != kNoCsrPos) {
       const CsrTopology& c = *csr_;
       const size_t begin =
           out_side ? c.OutBegin(v.csr_pos) : c.InBegin(v.csr_pos);
@@ -564,7 +559,8 @@ class GraphView {
   /// rebuild (standalone views mutating directly): the snapshot stays valid
   /// as the substrate for edit-vector resolution, but PureCsr() — the gate
   /// for index-addressed kernels — turns off until the next rebuild.
-  bool build_csr_ = true;
+  /// csr_ is set by Create before the view is published, so readers never
+  /// see it null, and a vertex carries a csr_pos only once it is set.
   std::unique_ptr<CsrTopology> csr_;
   bool csr_dirty_ = false;
   size_t folds_ = 0;

@@ -31,37 +31,21 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
   const bool target_is_start =
       target.has_value() &&
       std::find(starts.begin(), starts.end(), *target) != starts.end();
-  GRF_RETURN_IF_ERROR(
-      PathScanner::Reset(std::move(starts), target, outer_row));
-  // The base Reset seeded the BFS deque (and, in global_visited mode, the
-  // hash set); adopt the seeds as level 0.
-  current_.assign(std::make_move_iterator(frontier_.begin()),
-                  std::make_move_iterator(frontier_.end()));
-  frontier_.clear();
-  if (spec_->global_visited && spec_->gv->PureCsr() &&
+  GRF_ASSIGN_OR_RETURN(starts,
+                       ArmProbe(std::move(starts), target, outer_row));
+  ctx_->stats().NoteFrontier(starts.size());
+  if (visited_once_ && spec_->gv->PureCsr() &&
       spec_->gv->csr()->NumVertexes() < static_cast<size_t>(kNoParent)) {
+    // BFS-forest fast path: level 0 is the starts' CSR indexes, claimed.
     csr_ = spec_->gv->csr();
     visited_map_.assign(csr_->NumVertexes(), 0);
-    for (VertexId id : visited_) {
-      const size_t i = csr_->IndexOf(id);
-      if (i != CsrTopology::kAbsent) visited_map_[i] = kForwardSide;
-    }
-    visited_.clear();
-
-    // BFS-forest fast path: the seeds become CSR indexes, and the Candidate
-    // buffer is retired from the memory charge.
     fast_ = true;
-    for (const Candidate& seed : current_) {
-      const size_t i = csr_->IndexOf(seed.path.StartVertex());
+    for (VertexId id : starts) {
+      const size_t i = csr_->IndexOf(id);
       if (i == CsrTopology::kAbsent) continue;
+      visited_map_[i] = kForwardSide;
       fwd_.level.push_back(static_cast<uint32_t>(i));
     }
-    for (const Candidate& seed : current_) {
-      const size_t bytes = CandidateBytes(seed.path);
-      ctx_->ReleaseBytes(bytes);
-      charged_ -= std::min(charged_, bytes);
-    }
-    current_.clear();
 
     // A bound target that is not a start, without sum bounds (which need a
     // full prefix per vertex) and with only position-free pushed predicates
@@ -97,6 +81,20 @@ Status FrontierScanner::Reset(std::vector<VertexId> starts,
     } else {
       ArmForest();
     }
+    return Status::OK();
+  }
+
+  // Candidate levels: level 0 is one single-vertex path per start.
+  if (visited_once_) visited_.insert(starts.begin(), starts.end());
+  const size_t bounds = spec_->sum_bounds.size();
+  for (VertexId start : starts) {
+    Candidate seed;
+    seed.path.vertexes.push_back(start);
+    seed.sums.assign(bounds, 0.0);
+    const size_t bytes = CandidateBytes(seed.path);
+    charged_ += bytes;
+    (void)ctx_->ChargeBytes(bytes);
+    current_.push_back(std::move(seed));
   }
   return Status::OK();
 }
@@ -150,26 +148,6 @@ void FrontierScanner::Release() {
   PathScanner::Release();
 }
 
-bool FrontierScanner::AlreadyVisited(VertexId id) const {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(id);
-    return i != CsrTopology::kAbsent && visited_map_[i] != 0;
-  }
-  return visited_.count(id) > 0;
-}
-
-bool FrontierScanner::ClaimVisited(VertexId id) {
-  if (csr_ != nullptr) {
-    const size_t i = csr_->IndexOf(id);
-    if (i == CsrTopology::kAbsent) return true;
-    char& bit = visited_map_[i];
-    if (bit != 0) return false;
-    bit = 1;
-    return true;
-  }
-  return visited_.insert(id).second;
-}
-
 StatusOr<bool> FrontierScanner::Run(PathPtr* out, uint64_t* count) {
   if (bidir_) {
     if (out != nullptr) return BidirRun(out);
@@ -218,7 +196,7 @@ StatusOr<bool> FrontierScanner::Run(PathPtr* out, uint64_t* count) {
       ctx_->ReleaseBytes(bytes);
       charged_ -= std::min(charged_, bytes);
     }
-    current_ = std::move(next_);
+    current_.swap(next_);  // Both buffers keep their capacity.
     next_.clear();
     qualify_cursor_ = 0;
   }
@@ -244,9 +222,9 @@ Status FrontierScanner::ExpandLevelSerial() {
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
     GRF_RETURN_IF_ERROR(ExpandCore(
         candidate, ctx_,
-        [this](VertexId nbr) { return AlreadyVisited(nbr); },
+        [this](VertexId nbr) { return visited_.count(nbr) > 0; },
         [&](const Extension& ext) {
-          if (spec_->global_visited && !ext.closing) ClaimVisited(ext.nbr);
+          if (visited_once_ && !ext.closing) visited_.insert(ext.nbr);
           Candidate next = Extend(candidate, ext);
           const size_t bytes = CandidateBytes(next.path);
           charged_ += bytes;
@@ -310,12 +288,12 @@ Status FrontierScanner::ExpandLevelParallel() {
             st = ExpandCore(
                 candidate, &wctx,
                 [&](VertexId nbr) {
-                  return AlreadyVisited(nbr) ||
+                  return visited_.count(nbr) > 0 ||
                          std::find(local.begin(), local.end(), nbr) !=
                              local.end();
                 },
                 [&](const Extension& ext) {
-                  if (spec_->global_visited && !ext.closing) {
+                  if (visited_once_ && !ext.closing) {
                     local.push_back(ext.nbr);
                   }
                   Candidate next = Extend(candidate, ext);
@@ -347,8 +325,8 @@ Status FrontierScanner::ExpandLevelParallel() {
   // the surviving set and its sequence do not depend on the worker count.
   for (size_t i = 0; i < n; ++i) {
     for (Candidate& next : children[i]) {
-      if (spec_->global_visited && !next.closing &&
-          !ClaimVisited(next.path.EndVertex())) {
+      if (visited_once_ && !next.closing &&
+          !visited_.insert(next.path.EndVertex()).second) {
         continue;
       }
       const size_t bytes = CandidateBytes(next.path);

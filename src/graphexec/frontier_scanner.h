@@ -9,9 +9,9 @@
 
 namespace grfusion {
 
-/// Level-synchronous BFS engine (the "frontier" physical kernel): instead of
-/// popping one candidate at a time, it holds a whole depth level in a
-/// double-buffered frontier and alternates two phases:
+/// The BFScan engine: a level-synchronous BFS. Instead of popping one
+/// candidate at a time, it holds a whole depth level in a double-buffered
+/// frontier and alternates two phases:
 ///
 ///  - Phase A walks the current level in order, qualifying and emitting
 ///    paths. Because a level is fully emitted *before* any deeper expansion
@@ -23,22 +23,24 @@ namespace grfusion {
 ///    enough and a task pool is available, expansion runs morsel-parallel
 ///    over the frontier array; per-candidate child lists are then merged on
 ///    the coordinating thread in (candidate, neighbor) order, applying
-///    global_visited claims first-occurrence-wins. That merge order equals
+///    visited-once claims first-occurrence-wins. That merge order equals
 ///    the serial claim order, so the kernel returns byte-identical results
-///    at any worker count — including in global_visited mode, which the
+///    at any worker count — including in visited-once mode, which the
 ///    per-path fan-out (ParallelPathProbe) must refuse.
 ///
-/// In global_visited mode over a pure-CSR topology the visited set is a
-/// dense bitmap indexed by CSR position rather than a hash set — and the
-/// kernel drops the Candidate machinery entirely: because every vertex is
-/// claimed at most once, the traversal is a BFS forest, so levels are flat
-/// arrays of claim events carrying parent pointers (CSR indexes) instead of
-/// materialized path prefixes. A path is reconstructed from the parent
-/// chain only when an event survives the cheap length/target pre-filters —
-/// the reachability probe reconstructs exactly one. Admission per edge
-/// (pushed filters, sum bounds, the closing-cycle rule) mirrors ExpandCore
-/// statement for statement, so results stay byte-identical with the
-/// per-path engine.
+/// The emission order is level order: starts ascending, then per hop the
+/// neighbor-enumeration order of each frontier path in turn (DESIGN §14).
+///
+/// In visited-once mode over a pure-CSR topology the visited set is a dense
+/// bitmap indexed by CSR position rather than a hash set — and the kernel
+/// drops the Candidate machinery entirely: because every vertex is claimed
+/// at most once, the traversal is a BFS forest, so levels are flat arrays of
+/// claim events carrying parent pointers (CSR indexes) instead of
+/// materialized path prefixes. A path is reconstructed from the parent chain
+/// only when an event survives the cheap length/target pre-filters — the
+/// reachability probe reconstructs exactly one. Admission per edge (pushed
+/// filters, sum bounds, the closing-cycle rule) mirrors ExpandCore statement
+/// for statement, so results stay byte-identical with the Candidate levels.
 ///
 /// A BFS-forest probe with a bound target that is not one of its starts
 /// (and no sum bounds) runs bidirectionally instead: the forward side
@@ -54,8 +56,12 @@ class FrontierScanner : public PathScanner {
   Status Reset(std::vector<VertexId> starts, std::optional<VertexId> target,
                const ExecRow* outer_row) override;
   void Release() override;
+  void Rebind(QueryContext* ctx) override {
+    PathScanner::Rebind(ctx);
+    bidir_probes_ = 0;
+  }
 
-  /// Probes answered by the bidirectional search since construction.
+  /// Probes answered by the bidirectional search since the last Rebind.
   uint64_t bidir_probes() const { return bidir_probes_; }
 
  protected:
@@ -67,22 +73,17 @@ class FrontierScanner : public PathScanner {
   Status ExpandLevelSerial();
   Status ExpandLevelParallel();
 
-  /// Visited bookkeeping, bitmap-backed when the view is pure CSR.
-  bool AlreadyVisited(VertexId id) const;
-  /// Marks `id`; returns false when it was already claimed.
-  bool ClaimVisited(VertexId id);
-
   std::vector<Candidate> current_;   ///< The level being emitted/expanded.
   std::vector<Candidate> next_;      ///< The level under construction.
   size_t qualify_cursor_ = 0;        ///< Phase-A resume point in current_.
 
-  /// Dense visited bitmap over CSR positions; active only when the view was
-  /// pure CSR at Reset time (csr_ != nullptr) and the spec runs
-  /// global_visited. Otherwise the inherited visited_ hash set is used.
+  /// The BFS forest's snapshot and its dense visited bitmap over CSR
+  /// positions (set only on the fast path below). Candidate levels keep
+  /// visited-once claims in the inherited visited_ hash set.
   const CsrTopology* csr_ = nullptr;
   std::vector<char> visited_map_;
 
-  // --- Index-addressed BFS-forest fast path (global_visited + pure CSR) ---
+  // --- Index-addressed BFS-forest fast path (visited-once + pure CSR) ---
 
   /// One frontier slot: a vertex claimed at this depth, or a cycle closing
   /// back to its tree root (emitted, never expanded).

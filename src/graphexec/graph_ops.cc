@@ -373,14 +373,18 @@ PathProbeJoinOp::PathProbeJoinOp(OperatorPtr outer,
 
 Status PathProbeJoinOp::OpenImpl(QueryContext* ctx) {
   ctx_ = ctx;
-  if (spec_->frontier) {
-    auto frontier = std::make_unique<FrontierScanner>(spec_, ctx);
-    frontier_ = frontier.get();
-    scanner_ = std::move(frontier);
-  } else {
-    frontier_ = nullptr;
-    scanner_ = std::make_unique<PathScanner>(spec_, ctx);
+  // The scanner outlives Close: a re-opened plan (a prepared statement's
+  // next execution) reuses its buffers.
+  if (scanner_ == nullptr) {
+    if (spec_->physical == TraversalSpec::Physical::kBfs) {
+      auto frontier = std::make_unique<FrontierScanner>(spec_, ctx);
+      frontier_ = frontier.get();
+      scanner_ = std::move(frontier);
+    } else {
+      scanner_ = std::make_unique<PathScanner>(spec_, ctx);
+    }
   }
+  scanner_->Rebind(ctx);
   parallel_.reset();
   worker_totals_.clear();
   parallel_probes_ = 0;
@@ -463,8 +467,7 @@ StatusOr<bool> PathProbeJoinOp::NextImpl(ExecRow* out) {
     std::optional<VertexId> target;
     GRF_ASSIGN_OR_RETURN(bool joins, TargetFor(outer_row_, &target));
     if (!joins) continue;
-    if (!spec_->frontier &&
-        ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
+    if (ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
       // Keep the starts so a ResourceExhausted fan-out (the buffered-merge
       // protocol can need memory the streaming serial scanner does not) can
       // fall back to serial execution instead of failing the query.
@@ -534,8 +537,7 @@ Status PathCountOp::OpenImpl(QueryContext* ctx) {
 
 StatusOr<uint64_t> PathCountOp::CountProbe(std::vector<VertexId> starts,
                                            std::optional<VertexId> target) {
-  if (!spec_->frontier &&
-      ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
+  if (ParallelPathProbe::Eligible(*spec_, *ctx_, starts.size())) {
     parallel_ = std::make_unique<ParallelPathProbe>(spec_, ctx_);
     ++parallel_probes_;
     StatusOr<uint64_t> counted =

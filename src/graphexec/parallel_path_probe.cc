@@ -84,6 +84,8 @@ bool ParallelPathProbe::Eligible(const TraversalSpec& spec,
                                  const QueryContext& ctx, size_t num_starts) {
   if (!ctx.parallel_enabled()) return false;
   if (!spec.parallel_safe || spec.global_visited) return false;
+  // BFS runs on the frontier kernel, which parallelizes level expansion.
+  if (spec.physical == TraversalSpec::Physical::kBfs) return false;
   // Fanning out a probe costs task dispatch + a merge; require enough starts
   // to split. Probe eligibility is governed by parallel_min_starts (each
   // start seeds a whole traversal, so the useful threshold is far lower than
@@ -113,7 +115,7 @@ void ParallelPathProbe::Launch(std::vector<VertexId> starts,
   const size_t k = parent_->max_parallelism();
   // Aim for ~4 morsels per worker so stealing can rebalance skewed
   // traversals, capped so tiny probes still produce >= 2 morsels. The
-  // partition never affects results: DFS/BFS mode is restricted to
+  // partition never affects results: DFS mode is restricted to
   // order-insensitive queries and SPScan re-merges into a total order.
   size_t morsel_size = std::max<size_t>(
       1, std::min<size_t>(64, (starts_.size() + 4 * k - 1) / (4 * k)));

@@ -26,7 +26,7 @@ namespace grfusion {
 /// pull-based Next() stream of PathProbeJoinOp.
 ///
 /// Two merge protocols, chosen by the physical operator:
-///  - DFS/BFS: a bounded MPSC queue; workers stream paths as they are found
+///  - DFS: a bounded MPSC queue; workers stream paths as they are found
 ///    and the consumer pulls. Arrival order is interleave-dependent, so the
 ///    planner only allows this for order-insensitive queries (see
 ///    TraversalSpec::parallel_safe); the emitted *multiset* equals serial.
@@ -63,7 +63,7 @@ class ParallelPathProbe {
                        size_t num_starts);
 
   /// Launches the workers for one probe. For SPScan this blocks until the
-  /// workers finish (buffered-merge protocol); for DFS/BFS it returns once
+  /// workers finish (buffered-merge protocol); for DFS it returns once
   /// tasks are queued and paths stream through Next(). `outer_row` is
   /// borrowed and must outlive the pulls.
   Status Start(std::vector<VertexId> starts, std::optional<VertexId> target,
@@ -91,7 +91,7 @@ class ParallelPathProbe {
   size_t workers() const { return reports_.size(); }
 
  private:
-  /// Bounded MPSC channel for the streaming (DFS/BFS) protocol. Producers
+  /// Bounded MPSC channel for the streaming (DFS) protocol. Producers
   /// hand over whole batches of paths so the mutex/condvar cost is amortized
   /// over many results instead of paid per path.
   class Channel {

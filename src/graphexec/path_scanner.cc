@@ -34,7 +34,6 @@ std::string TraversalSpec::DebugString() const {
   }
   if (!push_filters) out += ", NO-PUSHDOWN";
   if (global_visited) out += ", visited-once";
-  if (frontier) out += ", frontier";
   return out + ")";
 }
 
@@ -109,10 +108,9 @@ Status ApplyLengthBound(CompareOp op, const Value& v, size_t* min_len,
 
 }  // namespace
 
-Status PathScanner::Reset(std::vector<VertexId> starts,
-                          std::optional<VertexId> target,
-                          const ExecRow* outer_row) {
-  frontier_.clear();
+StatusOr<std::vector<VertexId>> PathScanner::ArmProbe(
+    std::vector<VertexId> starts, std::optional<VertexId> target,
+    const ExecRow* outer_row) {
   heap_ = decltype(heap_)();
   dfs_depth_ = 0;
   dfs_pending_ = 0;
@@ -150,16 +148,21 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
 
-  const std::vector<double> zero_sums(spec_->sum_bounds.size(), 0.0);
-  if (spec_->physical == TraversalSpec::Physical::kDfs) {
-    // Frame 0 holds the start vertexes, popped from the back like the
-    // extensions of every deeper frame.
-    if (dfs_frames_.empty()) dfs_frames_.emplace_back();
-    dfs_frames_[0].steps.clear();
-    dfs_frames_[0].sums.clear();
-    dfs_frames_[0].charged = 0;
-    dfs_depth_ = 1;
+  // Visited-once keeps the LIMIT-1 answer only while no path to the target
+  // needs a vertex the forest claimed first. A target among the starts can
+  // break that: every start is claimed at depth 0, so no other start's path
+  // may end there; and on an undirected view both ends of a cycle's closing
+  // edge can be claimed at one depth (triangle 1-2-3 from 1 claims 2 and 3
+  // at depth 1 over the edges that would close the cycle). A lone start on
+  // a directed view is safe: the last vertex of the shortest cycle is
+  // claimed by a tree edge other than the closing one.
+  visited_once_ = spec_->global_visited;
+  if (visited_once_ && target.has_value() &&
+      std::binary_search(starts.begin(), starts.end(), *target)) {
+    visited_once_ = spec_->gv->directed() && starts.size() == 1;
   }
+
+  size_t admitted = 0;
   for (VertexId start : starts) {
     const VertexEntry* v = spec_->gv->FindVertex(start);
     if (v == nullptr) continue;
@@ -170,19 +173,40 @@ Status PathScanner::Reset(std::vector<VertexId> starts,
         continue;
       }
     }
-    if (spec_->global_visited) visited_.insert(start);
-    if (spec_->physical == TraversalSpec::Physical::kDfs) {
-      PushDfsStep(&dfs_frames_[0], 0, start, false, zero_sums.data());
-      continue;
+    starts[admitted++] = start;
+  }
+  starts.resize(admitted);
+  return starts;
+}
+
+Status PathScanner::Reset(std::vector<VertexId> starts,
+                          std::optional<VertexId> target,
+                          const ExecRow* outer_row) {
+  GRF_ASSIGN_OR_RETURN(starts,
+                       ArmProbe(std::move(starts), target, outer_row));
+  if (visited_once_) visited_.insert(starts.begin(), starts.end());
+  if (spec_->physical == TraversalSpec::Physical::kDfs) {
+    // Frame 0 holds the start vertexes, popped from the back like the
+    // extensions of every deeper frame.
+    if (dfs_frames_.empty()) dfs_frames_.emplace_back();
+    DfsFrame& frame = dfs_frames_[0];
+    frame.steps.clear();
+    frame.sums.clear();
+    frame.charged = 0;
+    dfs_depth_ = 1;
+    const std::vector<double> zero_sums(spec_->sum_bounds.size(), 0.0);
+    for (VertexId start : starts) {
+      PushDfsStep(&frame, 0, start, false, zero_sums.data());
     }
+    ChargeDfsFrame(&frame);
+    ctx_->stats().NoteFrontier(dfs_pending_);
+    return Status::OK();
+  }
+  for (VertexId start : starts) {
     Candidate candidate;
     candidate.path.vertexes.push_back(start);
     candidate.sums.assign(spec_->sum_bounds.size(), 0.0);
     PushCandidate(std::move(candidate));
-  }
-  if (spec_->physical == TraversalSpec::Physical::kDfs) {
-    ChargeDfsFrame(&dfs_frames_[0]);
-    ctx_->stats().NoteFrontier(dfs_pending_);
   }
   return Status::OK();
 }
@@ -212,15 +236,9 @@ void PathScanner::ReleaseDfsFrame(DfsFrame* frame) {
 }
 
 bool PathScanner::PopCandidate(Candidate* out) {
-  if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
-    if (heap_.empty()) return false;
-    *out = heap_.top();
-    heap_.pop();
-  } else {  // BFS.
-    if (frontier_.empty()) return false;
-    *out = std::move(frontier_.front());
-    frontier_.pop_front();
-  }
+  if (heap_.empty()) return false;
+  *out = heap_.top();
+  heap_.pop();
   ctx_->ReleaseBytes(CandidateBytes(out->path));
   charged_ -= std::min(charged_, CandidateBytes(out->path));
   return true;
@@ -234,18 +252,8 @@ void PathScanner::PushCandidate(Candidate candidate) {
   // are recorded by the context (peak accounting) — the next qualifying
   // charge check will abort the query.
   (void)ctx_->ChargeBytes(bytes);
-  if (spec_->physical == TraversalSpec::Physical::kShortestPath) {
-    heap_.push(std::move(candidate));
-  } else {
-    frontier_.push_back(std::move(candidate));
-  }
-  ctx_->stats().NoteFrontier(FrontierSize());
-}
-
-size_t PathScanner::FrontierSize() const {
-  return spec_->physical == TraversalSpec::Physical::kShortestPath
-             ? heap_.size()
-             : frontier_.size();
+  heap_.push(std::move(candidate));
+  ctx_->stats().NoteFrontier(heap_.size());
 }
 
 StatusOr<bool> PathScanner::EdgeAdmissible(const EdgeEntry& edge,
@@ -301,19 +309,6 @@ PathScanner::Candidate PathScanner::Extend(const Candidate& parent,
   return next;
 }
 
-Status PathScanner::Expand(const Candidate& candidate) {
-  // Serial engine: consult and mark the shared visited set inline, extensions
-  // go straight onto the frontier (the admission pipeline itself lives in
-  // ExpandCore, shared with the level-synchronous FrontierScanner).
-  return ExpandCore(
-      candidate, ctx_,
-      [this](VertexId nbr) { return visited_.count(nbr) > 0; },
-      [&](const Extension& ext) {
-        if (spec_->global_visited && !ext.closing) visited_.insert(ext.nbr);
-        PushCandidate(Extend(candidate, ext));
-      });
-}
-
 StatusOr<bool> PathScanner::Qualifies(const Candidate& candidate) {
   const size_t len = candidate.path.Length();
   if (len < min_length_ || len > max_length_) return false;
@@ -367,7 +362,7 @@ StatusOr<bool> PathScanner::Run(PathPtr* out, uint64_t* count) {
   if (spec_->physical == TraversalSpec::Physical::kDfs) {
     return RunDfs(out, count);
   }
-  return RunQueued(out, count);
+  return RunShortestPath(out, count);
 }
 
 StatusOr<bool> PathScanner::RunDfs(PathPtr* out, uint64_t* count) {
@@ -416,7 +411,7 @@ StatusOr<bool> PathScanner::RunDfs(PathPtr* out, uint64_t* count) {
           dfs_path_, ctx_,
           [this](VertexId nbr) { return visited_.count(nbr) > 0; },
           [&](const Extension& ext) {
-            if (spec_->global_visited && !ext.closing) visited_.insert(ext.nbr);
+            if (visited_once_ && !ext.closing) visited_.insert(ext.nbr);
             PushDfsStep(&next, ext.edge, ext.nbr, ext.closing, ext.sums);
           }));
       ChargeDfsFrame(&next);
@@ -440,7 +435,7 @@ StatusOr<bool> PathScanner::RunDfs(PathPtr* out, uint64_t* count) {
   }
 }
 
-StatusOr<bool> PathScanner::RunQueued(PathPtr* out, uint64_t* count) {
+StatusOr<bool> PathScanner::RunShortestPath(PathPtr* out, uint64_t* count) {
   Candidate candidate;
   while (PopCandidate(&candidate)) {
     GRF_RETURN_IF_ERROR(ctx_->CheckInterrupt());
@@ -448,7 +443,11 @@ StatusOr<bool> PathScanner::RunQueued(PathPtr* out, uint64_t* count) {
     const bool can_extend =
         !candidate.closing && candidate.path.Length() < max_length_;
     if (can_extend) {
-      GRF_RETURN_IF_ERROR(Expand(candidate));
+      GRF_RETURN_IF_ERROR(ExpandCore(
+          candidate, ctx_, [](VertexId) { return false; },
+          [&](const Extension& ext) {
+            PushCandidate(Extend(candidate, ext));
+          }));
       if (ctx_->current_bytes() > ctx_->memory_cap()) {
         return Status::ResourceExhausted(
             "traversal frontier exceeded the query memory cap");

@@ -2,7 +2,6 @@
 #define GRFUSION_GRAPHEXEC_PATH_SCANNER_H_
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,11 +19,13 @@ namespace grfusion {
 
 /// Lazy traversal engine behind the PathScan operator: enumerates simple
 /// paths from a set of start vertexes, on demand, under a TraversalSpec.
+/// This class runs DFScan and SPScan; BFScan is the level-synchronous
+/// FrontierScanner derived from it.
 ///
 /// The scanner is re-armed per probe row via Reset() — this is how an outer
 /// relational join tuple "probes" the traversal (paper Fig. 6). Between
-/// Reset() calls it holds the traversal frontier (DFS path stack / BFS queue
-/// / Dijkstra priority queue) and yields one qualifying path per Next().
+/// Reset() calls it holds the traversal frontier (DFS path stack / Dijkstra
+/// priority queue) and yields one qualifying path per Next().
 ///
 /// Every engine has one "materialize or count" switch: Next() builds the
 /// qualifying path, Count() runs the same traversal to exhaustion and only
@@ -34,12 +35,11 @@ namespace grfusion {
 /// DFS keeps one current path and extends it in place: per depth it holds
 /// the admissible extensions ExpandCore produced (edge, neighbor, closing
 /// flag, sums) and pops them from the back, which is exactly the order of a
-/// stack of whole-path candidates. BFS and SPScan keep a queue / heap of
-/// Candidates.
+/// stack of whole-path candidates. SPScan keeps a heap of Candidates.
 ///
 /// FrontierScanner derives from this to run the same per-edge admission
 /// pipeline (ExpandCore) level-synchronously over whole frontiers; the
-/// virtual surface is Reset/Run/Release.
+/// virtual surface is Reset/Run/Release/Rebind.
 class PathScanner {
  public:
   PathScanner(std::shared_ptr<const TraversalSpec> spec, QueryContext* ctx)
@@ -71,13 +71,23 @@ class PathScanner {
     return count;
   }
 
+  /// Points the scanner at the context of its operator's next execution (a
+  /// re-opened plan-cache instance), so its buffers keep their capacity
+  /// instead of being reallocated per statement. Charges made under the
+  /// previous context are not carried over.
+  virtual void Rebind(QueryContext* ctx) {
+    ctx_ = ctx;
+    charged_ = 0;
+  }
+
   /// Drops frontier state and releases its memory charge (operator Close).
   virtual void Release() {
-    frontier_.clear();
     heap_ = decltype(heap_)();
     dfs_depth_ = 0;
     dfs_pending_ = 0;
-    visited_.clear();
+    // Freed, not cleared: a reused scanner's next statement must not pay
+    // for clearing the buckets a large visited-once search left behind.
+    visited_ = {};
     expansions_.clear();
     if (charged_ > 0) {
       ctx_->ReleaseBytes(charged_);
@@ -127,25 +137,28 @@ class PathScanner {
   /// Builds `parent` extended by `ext` as a frontier Candidate.
   Candidate Extend(const Candidate& parent, const Extension& ext) const;
 
-  /// Pops the next candidate in physical-operator order (BFS / SPScan).
+  /// Per-probe setup shared by every engine: drops the previous probe's
+  /// state, evaluates the bound right-hand sides, decides visited_once_ and
+  /// returns the distinct starts (ascending) that exist and pass the pushed
+  /// position-0 vertex predicates.
+  StatusOr<std::vector<VertexId>> ArmProbe(std::vector<VertexId> starts,
+                                           std::optional<VertexId> target,
+                                           const ExecRow* outer_row);
+
+  /// SPScan heap.
   bool PopCandidate(Candidate* out);
   void PushCandidate(Candidate candidate);
-  size_t FrontierSize() const;
 
   /// True when the candidate may be emitted (length window, target, pushed
   /// filters when running un-pushed, residual predicates, exact sum bounds).
   StatusOr<bool> Qualifies(const Candidate& candidate);
 
-  /// Expands `candidate` by every admissible incident edge, pushing the
-  /// extensions onto the BFS queue / SPScan heap.
-  Status Expand(const Candidate& candidate);
-
-  /// The per-edge admission pipeline shared by the serial engine and the
-  /// level-synchronous frontier kernel: edge-simple / vertex-simple /
+  /// The per-edge admission pipeline shared by the DFS/SPScan engines and
+  /// the level-synchronous frontier kernel: edge-simple / vertex-simple /
   /// closing-cycle rules, pushed element filters, sum-bound accumulation and
   /// monotone pruning, SPScan weights. `already_visited(nbr)` implements the
-  /// global_visited claim check (consulted only in that mode, and only for
-  /// non-closing extensions); `sink(const Extension&)` receives each
+  /// visited-once claim check (consulted only when visited_once_ is set, and
+  /// only for non-closing extensions); `sink(const Extension&)` receives each
   /// admissible extension in neighbor-enumeration order and owns visited
   /// marking.
   ///
@@ -194,7 +207,7 @@ class PathScanner {
                       nbr) != candidate.path.vertexes.end()) {
           return true;
         }
-        if (spec_->global_visited && already_visited(nbr)) return true;
+        if (visited_once_ && already_visited(nbr)) return true;
       }
 
       std::copy(candidate.sums.begin(), candidate.sums.end(), sums.begin());
@@ -301,10 +314,13 @@ class PathScanner {
   /// This probe's length window: the spec's, narrowed by its length bounds.
   size_t min_length_ = 1;
   size_t max_length_ = kNoMaxLength;
+  /// This probe runs visited-once: the spec's global_visited, unless the
+  /// target is one of the starts and the forest could hide the answer (see
+  /// ArmProbe).
+  bool visited_once_ = false;
 
-  std::deque<Candidate> frontier_;  ///< BFS queue (popped at the front).
   std::priority_queue<Candidate, std::vector<Candidate>, CostOrder> heap_;
-  std::unordered_set<VertexId> visited_;      ///< global_visited mode.
+  std::unordered_set<VertexId> visited_;      ///< Visited-once claims.
   /// SPScan expansion cap, counted per (start, vertex): each start's
   /// k-shortest enumeration is independent of the other starts, so a
   /// multi-source probe gives the same answers whether the starts run in one
@@ -315,8 +331,8 @@ class PathScanner {
  private:
   /// DFS with one current path extended in place.
   StatusOr<bool> RunDfs(PathPtr* out, uint64_t* count);
-  /// BFS / SPScan over the Candidate queue / heap.
-  StatusOr<bool> RunQueued(PathPtr* out, uint64_t* count);
+  /// SPScan over the Candidate heap.
+  StatusOr<bool> RunShortestPath(PathPtr* out, uint64_t* count);
 
   /// A pending DFS extension (its sums live in the frame's flat `sums`).
   struct DfsStep {

@@ -22,13 +22,11 @@ size_t PlannerOptions::effective_parallelism() const {
 
 std::string PlannerOptions::PlanShapeKey() const {
   return StrFormat(
-      "fp=%d,li=%d,fml=%zu,ix=%d,rf=%d,tv=%d,mp=%zu,pmr=%zu,pms=%zu,fb=%d,"
-      "fmb=%zu",
+      "fp=%d,li=%d,fml=%zu,ix=%d,rf=%d,tv=%d,mp=%zu,pmr=%zu,pms=%zu",
       enable_filter_pushdown ? 1 : 0, enable_length_inference ? 1 : 0,
       fallback_max_length, enable_index_scan ? 1 : 0,
       enable_reachability_fastpath ? 1 : 0, static_cast<int>(default_traversal),
-      max_parallelism, parallel_min_rows, parallel_min_starts,
-      enable_frontier_bfs ? 1 : 0, frontier_min_batch);
+      max_parallelism, parallel_min_rows, parallel_min_starts);
 }
 
 namespace {
@@ -740,15 +738,23 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       }
       // Positional pruning must also be active for subgraph-selection
       // semantics to hold under visited-once search.
+      const bool prefer_bfs =
+          binding.hint == TraversalHint::kNone &&
+          options_.default_traversal == PlannerOptions::Traversal::kAuto;
       if (uniform && (spec.element_preds.empty() || spec.push_filters)) {
-        if (spec.max_length == kNoMaxLength) {
+        if (spec.start_vertex_expr == nullptr) {
+          // Unbound start: every vertex is a start, and the last hop of any
+          // path to the target is itself a path from a start that passes
+          // the same position-free filters. So a one-hop path exists
+          // whenever any path does, and BFS emits it first. (Visited-once
+          // would claim the target at depth 0, as a start, and hide it.)
+          spec.max_length = std::min<size_t>(spec.max_length, 1);
+          if (prefer_bfs) spec.physical = TraversalSpec::Physical::kBfs;
+        } else if (spec.max_length == kNoMaxLength) {
           spec.global_visited = true;
           // With no hint forcing DFS, prefer BFS for reachability (§7.1):
           // same existence answer, but the witness path is minimum-hop.
-          if (binding.hint == TraversalHint::kNone &&
-              options_.default_traversal == PlannerOptions::Traversal::kAuto) {
-            spec.physical = TraversalSpec::Physical::kBfs;
-          }
+          if (prefer_bfs) spec.physical = TraversalSpec::Physical::kBfs;
         } else if (spec.physical == TraversalSpec::Physical::kBfs) {
           // BFS finds a minimum-hop path first, so a depth cap stays sound.
           spec.global_visited = true;
@@ -756,7 +762,7 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
       }
     }
 
-    // Parallel-safety (morsel-driven multi-source fan-out): DFS/BFS stream
+    // Parallel-safety (morsel-driven multi-source fan-out): DFS streams
     // results in interleave-dependent order, so any LIMIT/TOP — where
     // *which* rows survive can depend on emission order (directly, through
     // first-seen DISTINCT/group order, or through ORDER BY ties) — pins the
@@ -765,34 +771,13 @@ StatusOr<PlannedQuery> Planner::PlanSelect(const SelectStmt& stmt,
     // interleaving. SPScan stays eligible even under TOP k: its parallel
     // merge reproduces the serial (cost, path) total order exactly. The
     // visited-once fast path shares one visited set across starts and never
-    // fans out.
+    // fans out. BFS never fans out per path either: the frontier kernel
+    // parallelizes each level and keeps one order at any worker count.
     if (spec.physical != TraversalSpec::Physical::kShortestPath &&
         (stmt.limit >= 0 || stmt.top >= 0)) {
       spec.parallel_safe = false;
     }
     if (spec.global_visited) spec.parallel_safe = false;
-
-    // Frontier kernel (§6.3 extension): BFS with a frontier expected to
-    // reach frontier_min_batch runs level-synchronously — whole levels are
-    // qualified before expansion (LIMIT-k early exit) and expanded in
-    // batches, morsel-parallel when large. Estimate: a visited-once or
-    // unbounded traversal eventually touches O(V); otherwise the deepest
-    // level holds ~F^L candidates. Result-identical to the per-path BFS
-    // engine at any worker count, so the data-dependent estimate only moves
-    // a physical knob (same contract as the kAuto fan-out rule above).
-    if (options_.enable_frontier_bfs &&
-        spec.physical == TraversalSpec::Physical::kBfs) {
-      const double v = static_cast<double>(binding.gv->NumVertexes());
-      double estimate = v;
-      if (!spec.global_visited && spec.max_length != kNoMaxLength) {
-        const double fan_out = std::max(binding.gv->AverageFanOut(), 1.0);
-        estimate = std::min(
-            v, std::pow(fan_out, static_cast<double>(spec.max_length)));
-      }
-      if (estimate >= static_cast<double>(options_.frontier_min_batch)) {
-        spec.frontier = true;
-      }
-    }
 
     tree = std::make_unique<PathProbeJoinOp>(std::move(tree), plan.spec);
   }

@@ -36,22 +36,6 @@ struct PlannerOptions {
   /// Allow the visited-once reachability fast path (LIMIT 1 + bound target).
   bool enable_reachability_fastpath = true;
 
-  /// Allow the level-synchronous frontier kernel for BFS path scans whose
-  /// estimated frontier reaches frontier_min_batch. The kernel's batched
-  /// level expansion (morsel-parallel when large) yields results identical
-  /// to the serial BFS engine, so this is purely a physical choice.
-  bool enable_frontier_bfs = true;
-
-  /// Estimated frontier size (vertexes per level) below which BFS stays on
-  /// the per-path engine: batching tiny frontiers only adds overhead.
-  size_t frontier_min_batch = 32;
-
-  /// Build the immutable CSR snapshot for graph views (at CREATE and on
-  /// every delta fold). Disabling keeps views on the pure adjacency-list
-  /// representation — the bench baseline for the CSR ablation. Not part of
-  /// the plan shape: it changes the storage layout, not the plan.
-  bool build_csr_topology = true;
-
   /// Physical traversal when no hint is given and the §6.3 rule does not
   /// apply: kAuto applies the F-vs-L rule when a length is inferred and
   /// falls back to DFS; kDfs / kBfs force one operator.

@@ -366,17 +366,6 @@ TEST_F(GraphViewTest, CsrSnapshotBuiltAtCreate) {
   EXPECT_EQ(gv->FanIn(*gv->FindVertex(3)), 1u);
 }
 
-TEST_F(GraphViewTest, OptOutBuildsNoCsr) {
-  AddVertexRow(1, "a");
-  GraphBuildOptions build;
-  build.build_csr = false;
-  auto gv = GraphView::Create(Def(true), vertex_table_, edge_table_, build);
-  ASSERT_TRUE(gv.ok());
-  EXPECT_EQ((*gv)->csr(), nullptr);
-  EXPECT_FALSE((*gv)->PureCsr());
-  EXPECT_EQ((*gv)->CsrBytes(), 0u);
-}
-
 TEST_F(GraphViewTest, CsrWithEditVectorsMatchesRebuild) {
   // Seed a topology, snapshot it into CSR, then mutate online through the
   // table listeners: adds land in append vectors, deletes in tombstones.

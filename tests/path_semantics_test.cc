@@ -10,6 +10,7 @@
 #include <queue>
 #include <set>
 
+#include "bfs_reference.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "engine/database.h"
@@ -439,9 +440,11 @@ TEST_P(PathSemanticsTest, ExplainAnalyzeReportsParallelFanOut) {
   session_.options().max_parallelism = 4;
   session_.options().parallel_min_rows = 1;
   session_.options().parallel_min_starts = 1;
+  // Per-path fan-out runs DFS (and SPScan); BFS parallelizes inside its
+  // level-synchronous kernel instead.
   auto result = session_.Execute(
       "EXPLAIN ANALYZE SELECT P.StartVertex.Id, P.PathString "
-      "FROM g.Paths P WHERE P.Length <= 2");
+      "FROM g.Paths P HINT(DFS) WHERE P.Length <= 2");
   session_.options().max_parallelism = 0;
   session_.options().parallel_min_rows = 2048;
   session_.options().parallel_min_starts = 8;
@@ -464,7 +467,7 @@ TEST_P(PathSemanticsTest, ParallelMinStartsKnobDisablesProbeFanOut) {
     session_.options().parallel_min_rows = 1;
     session_.options().parallel_min_starts = min_starts;
     auto result = session_.Execute(
-        "EXPLAIN ANALYZE SELECT P.PathString FROM g.Paths P "
+        "EXPLAIN ANALYZE SELECT P.PathString FROM g.Paths P HINT(DFS) "
         "WHERE P.Length <= 2");
     session_.options().max_parallelism = 0;
     session_.options().parallel_min_rows = 2048;
@@ -539,48 +542,76 @@ TEST_P(PathSemanticsTest, TinyMemoryCapFallsBackToSerialUnderParallelism) {
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsMatchesPerPathBfs) {
-  // The level-synchronous frontier kernel must reproduce the per-path BFS
-  // engine's emission order exactly (not just the multiset): both process
-  // whole depth levels in FIFO order. Compare ordered row sequences with the
-  // kernel forced on (frontier_min_batch = 1) vs forced off. The per-path arm
-  // runs serially: with more than one worker an unbounded multi-start probe
-  // fans out and may interleave its starts (the parallel_safe contract), so
-  // only the serial per-path engine has a defined emission order.
+  // BFScan's emission order is pinned, not only its multiset: the ordered
+  // rows equal a brute-force per-path BFS enumeration over the test's own
+  // edge list (bfs_reference.h), at 1 and at 4 workers. The LIMIT 1 probes
+  // cover the bidirectional search, the one-sided forest, and the cycle
+  // shapes whose target is a start.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  auto run = [&](bool frontier, const std::string& sql) {
-    session_.options().enable_frontier_bfs = frontier;
-    session_.options().frontier_min_batch = 1;
-    session_.options().max_parallelism = frontier ? 0 : 1;
-    auto result = session_.Execute(sql);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<std::string> out;
-    if (result.ok()) {
-      for (const auto& row : result->rows) {
-        std::string key;
-        for (const Value& v : row) key += v.ToString() + "|";
-        out.push_back(std::move(key));
-      }
+  session_.options().parallel_min_rows = 1;
+  session_.options().parallel_min_starts = 1;
+  std::vector<int64_t> all;
+  for (int64_t i = 0; i < graph_.n; ++i) all.push_back(i);
+  auto query = [](std::vector<int64_t> starts, size_t min_len,
+                  std::optional<size_t> max_len) {
+    BfsRefQuery q;
+    q.starts = std::move(starts);
+    q.min_len = min_len;
+    q.max_len = max_len;
+    return q;
+  };
+  struct Case {
+    std::string sql;
+    BfsRefQuery ref;
+  };
+  std::vector<Case> cases = {
+      {"SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3",
+       query(all, 1, 3)},
+      {"SELECT P.PathString FROM g.Paths P "
+       "WHERE P.StartVertex.Id = 0 AND P.Length = 3",
+       query({0}, 3, 3)},
+      {"SELECT P.PathString FROM g.Paths P "
+       "WHERE P.Length <= 2 AND P.Edges[0..*].rank < 60",
+       query(all, 1, 2)},
+      {"SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3 LIMIT 4",
+       query(all, 1, 3)},
+      {"SELECT P.PathString FROM g.Paths P "
+       "WHERE P.StartVertex.Id = 0 AND P.EndVertex.Id = 4 LIMIT 1",
+       query({0}, 1, std::nullopt)},
+      {"SELECT P.PathString FROM g.Paths P "
+       "WHERE P.StartVertex.Id = 0 AND P.EndVertex.Id = 0 LIMIT 1",
+       query({0}, 1, std::nullopt)},
+      {"SELECT P.PathString FROM g.Paths P WHERE P.EndVertex.Id = 4 LIMIT 1",
+       query(all, 1, std::nullopt)},
+  };
+  cases[2].ref.rank_below = 60;
+  cases[3].ref.limit = 4;
+  for (size_t i : {4, 5, 6}) cases[i].ref.limit = 1;
+  cases[4].ref.end_vertex = 4;
+  cases[5].ref.end_vertex = 0;
+  cases[6].ref.end_vertex = 4;
+  for (const Case& c : cases) {
+    std::vector<std::string> expected;
+    for (const BfsRefPath& path :
+         BfsReference(graph_.edges, graph_.directed, c.ref)) {
+      expected.push_back(path.ToString());
     }
-    return out;
-  };
-  const std::vector<std::string> queries = {
-      "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.StartVertex.Id = 0 AND P.Length = 3",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.Length <= 2 AND P.Edges[0..*].rank < 60",
-      "SELECT P.PathString FROM g.Paths P WHERE P.Length <= 3 LIMIT 4",
-      "SELECT P.PathString FROM g.Paths P "
-      "WHERE P.StartVertex.Id = 0 AND P.EndVertex.Id = 4 LIMIT 1",
-  };
-  for (const std::string& sql : queries) {
-    EXPECT_EQ(run(true, sql), run(false, sql))
-        << sql << " seed=" << GetParam().seed;
+    for (size_t parallelism : {1, 4}) {
+      session_.options().max_parallelism = parallelism;
+      auto result = session_.Execute(c.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<std::string> actual;
+      for (const auto& row : result->rows) {
+        actual.push_back(row[0].AsVarchar());
+      }
+      EXPECT_EQ(actual, expected) << c.sql << " parallelism=" << parallelism
+                                  << " seed=" << GetParam().seed;
+    }
   }
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().enable_frontier_bfs = true;
-  session_.options().frontier_min_batch = 32;
   session_.options().max_parallelism = 0;
+  session_.options().parallel_min_rows = 2048;
+  session_.options().parallel_min_starts = 8;
 }
 
 TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
@@ -589,7 +620,6 @@ TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
   // makes results byte-identical at any worker count — including the
   // reachability fast path and bare-LIMIT queries.
   session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session_.options().frontier_min_batch = 1;
   auto run = [&](size_t parallelism, const std::string& sql) {
     session_.options().max_parallelism = parallelism;
     session_.options().parallel_min_rows = 1;
@@ -622,29 +652,6 @@ TEST_P(PathSemanticsTest, FrontierBfsStableUnderParallelism) {
     }
   }
   session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().frontier_min_batch = 32;
-}
-
-TEST_P(PathSemanticsTest, FrontierKernelShowsInPlanAndKnobDisablesIt) {
-  session_.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  auto plan_for = [&](bool enabled, size_t min_batch) {
-    session_.options().enable_frontier_bfs = enabled;
-    session_.options().frontier_min_batch = min_batch;
-    auto result = session_.Execute(
-        "EXPLAIN SELECT P.PathString FROM g.Paths P WHERE P.Length <= 2");
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    std::string plan;
-    if (result.ok()) {
-      for (const auto& row : result->rows) plan += row[0].AsVarchar() + "\n";
-    }
-    return plan;
-  };
-  EXPECT_NE(plan_for(true, 1).find(", frontier"), std::string::npos);
-  EXPECT_EQ(plan_for(false, 1).find(", frontier"), std::string::npos);
-  EXPECT_EQ(plan_for(true, 1 << 20).find(", frontier"), std::string::npos);
-  session_.options().default_traversal = PlannerOptions::Traversal::kAuto;
-  session_.options().enable_frontier_bfs = true;
-  session_.options().frontier_min_batch = 32;
 }
 
 // --- Bidirectional reachability probe: pinned witness cases -------------
@@ -652,7 +659,7 @@ TEST_P(PathSemanticsTest, FrontierKernelShowsInPlanAndKnobDisablesIt) {
 // An endpoint-bound LIMIT 1 probe whose target is not a start runs as a
 // bidirectional search in the frontier kernel. These fixed graphs pin the
 // cases where the search's own order differs most from the one-sided
-// forest's, and check the witness row against the per-path BFS engine.
+// forest's, and check the witness row against the brute-force BFS order.
 
 class BidirWitnessTest : public ::testing::Test {
  protected:
@@ -664,6 +671,8 @@ class BidirWitnessTest : public ::testing::Test {
   /// `edges` (inserted in order, which fixes the adjacency enumeration
   /// order).
   void Load(int64_t n, const std::vector<Edge>& edges, bool directed) {
+    edges_ = edges;
+    directed_ = directed;
     session_.reset();
     db_ = std::make_unique<Database>();
     session_ = std::make_unique<Session>(*db_);
@@ -697,13 +706,11 @@ class BidirWitnessTest : public ::testing::Test {
     uint64_t edges_examined = 0;
   };
 
-  /// Runs `sql` on the frontier kernel (bidirectional when eligible) or on
-  /// the per-path BFS engine.
-  Probe Run(const std::string& sql, bool frontier) {
+  /// Runs `sql` as a BFScan on `parallelism` workers.
+  Probe Run(const std::string& sql, size_t parallelism = 1) {
     session_->options().default_traversal = PlannerOptions::Traversal::kBfs;
-    session_->options().enable_frontier_bfs = frontier;
-    session_->options().frontier_min_batch = 1;
-    session_->options().max_parallelism = 1;
+    session_->options().max_parallelism = parallelism;
+    session_->options().parallel_min_starts = 1;
     auto result = session_->Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     Probe probe;
@@ -711,6 +718,23 @@ class BidirWitnessTest : public ::testing::Test {
     for (const auto& row : result->rows) probe.rows.push_back(row[0].AsVarchar());
     probe.edges_examined = session_->last_stats().edges_examined;
     return probe;
+  }
+
+  /// The brute-force LIMIT 1 witness from `start` to `end`.
+  std::vector<std::string> Reference(int64_t start, int64_t end,
+                                     std::optional<size_t> max_len,
+                                     std::optional<int64_t> rank_below) {
+    BfsRefQuery q;
+    q.starts = {start};
+    q.end_vertex = end;
+    q.max_len = max_len;
+    q.rank_below = rank_below;
+    q.limit = 1;
+    std::vector<std::string> rows;
+    for (const BfsRefPath& path : BfsReference(edges_, directed_, q)) {
+      rows.push_back(path.ToString());
+    }
+    return rows;
   }
 
   /// EXPLAIN ANALYZE text of `sql` on the frontier kernel.
@@ -726,6 +750,8 @@ class BidirWitnessTest : public ::testing::Test {
 
   std::unique_ptr<Database> db_;
   std::unique_ptr<Session> session_;
+  std::vector<Edge> edges_;
+  bool directed_ = true;
 };
 
 TEST_F(BidirWitnessTest, BackwardSideExpandsFirstFromLeafTarget) {
@@ -744,16 +770,14 @@ TEST_F(BidirWitnessTest, BackwardSideExpandsFirstFromLeafTarget) {
   const std::string sql =
       "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
       "P.EndVertex.Id = 41 LIMIT 1";
-  const Probe bidir = Run(sql, /*frontier=*/true);
-  const Probe per_path = Run(sql, /*frontier=*/false);
+  const Probe bidir = Run(sql);
   ASSERT_EQ(bidir.rows.size(), 1u);
   EXPECT_EQ(bidir.rows[0], "0 -[3]-> 3 -[201]-> 41");
-  EXPECT_EQ(bidir.rows, per_path.rows);
-  // The one-sided search expands the whole first level (80+ edges); the
+  EXPECT_EQ(bidir.rows, Reference(0, 41, std::nullopt, std::nullopt));
+  EXPECT_EQ(Run(sql, 4).rows, bidir.rows);
+  // A one-sided search expands the whole first level (80+ edges); the
   // backward-first search meets after a handful.
   EXPECT_LT(bidir.edges_examined, 16u);
-  EXPECT_GT(per_path.edges_examined, 80u);
-  session_->options().enable_frontier_bfs = true;
   EXPECT_NE(Analyze(sql).find("bidir_probes=1"), std::string::npos);
 }
 
@@ -790,23 +814,27 @@ TEST_F(BidirWitnessTest, GridTiesFollowTheLexicographicRule) {
                             static_cast<long long>(2 * id(r - 1, k - 1) + 1),
                             static_cast<long long>(id(r, k - 1)));
     }
-    for (const char* bound : {"", " AND P.Length <= 12"}) {
+    for (std::optional<size_t> bound : {std::optional<size_t>(),
+                                        std::optional<size_t>(12)}) {
       const std::string sql = StrFormat(
           "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 "
           "AND P.EndVertex.Id = %lld%s LIMIT 1",
-          static_cast<long long>(k * k - 1), bound);
-      const Probe bidir = Run(sql, /*frontier=*/true);
+          static_cast<long long>(k * k - 1),
+          bound.has_value() ? " AND P.Length <= 12" : "");
+      const Probe bidir = Run(sql);
       ASSERT_EQ(bidir.rows.size(), 1u) << sql;
       EXPECT_EQ(bidir.rows[0], expected) << sql;
-      EXPECT_EQ(bidir.rows, Run(sql, /*frontier=*/false).rows) << sql;
+      EXPECT_EQ(bidir.rows, Reference(0, k * k - 1, bound, std::nullopt))
+          << sql;
+      EXPECT_EQ(Run(sql, 4).rows, bidir.rows) << sql;
     }
     // One hop short of the corner-to-corner distance: no path.
     const std::string short_sql = StrFormat(
         "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 "
         "AND P.EndVertex.Id = %lld AND P.Length <= 11 LIMIT 1",
         static_cast<long long>(k * k - 1));
-    EXPECT_TRUE(Run(short_sql, /*frontier=*/true).rows.empty());
-    EXPECT_TRUE(Run(short_sql, /*frontier=*/false).rows.empty());
+    EXPECT_TRUE(Run(short_sql).rows.empty());
+    EXPECT_TRUE(Reference(0, k * k - 1, 11, std::nullopt).empty());
   }
 }
 
@@ -815,7 +843,7 @@ TEST_F(BidirWitnessTest, FilteredTargetEmptiesTheBackwardSideFirst) {
   // 0, which fans out to 11 of them; target 300 is entered only by two
   // rank-90 edges. The target's side is the smaller, and under `rank < 50`
   // it has nothing to claim, so the probe ends after examining those two
-  // edges, without exploring the component the one-sided search walks.
+  // edges, without exploring the component a one-sided search walks.
   std::vector<Edge> edges;
   int64_t next_id = 0;
   for (int64_t i = 0; i < 200; ++i) {
@@ -830,20 +858,51 @@ TEST_F(BidirWitnessTest, FilteredTargetEmptiesTheBackwardSideFirst) {
   const std::string filtered =
       "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
       "P.EndVertex.Id = 300 AND P.Edges[0..*].rank < 50 LIMIT 1";
-  const Probe bidir = Run(filtered, /*frontier=*/true);
-  const Probe per_path = Run(filtered, /*frontier=*/false);
+  const Probe bidir = Run(filtered);
   EXPECT_TRUE(bidir.rows.empty());
-  EXPECT_TRUE(per_path.rows.empty());
+  EXPECT_TRUE(Reference(0, 300, std::nullopt, 50).empty());
   EXPECT_LE(bidir.edges_examined, 2u);
-  EXPECT_GT(per_path.edges_examined, 300u);
 
-  // Without the filter the target is reachable, and both engines agree.
+  // Without the filter the target is reachable, and the witness is the
+  // brute-force one.
   const std::string open =
       "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 0 AND "
       "P.EndVertex.Id = 300 LIMIT 1";
-  const Probe reach = Run(open, /*frontier=*/true);
+  const Probe reach = Run(open);
   ASSERT_EQ(reach.rows.size(), 1u);
-  EXPECT_EQ(reach.rows, Run(open, /*frontier=*/false).rows);
+  EXPECT_EQ(reach.rows, Reference(0, 300, std::nullopt, std::nullopt));
+  EXPECT_EQ(Run(open, 4).rows, reach.rows);
+}
+
+TEST_F(BidirWitnessTest, UndirectedTriangleFindsTheCycleBackToItsStart) {
+  // On an undirected triangle the visited-once forest claims 2 and 3 at
+  // depth 1 over the very edges that would close the cycle, so a probe
+  // whose target is its start must enumerate paths instead. The first cycle
+  // in BFS order leaves over the first-listed edge.
+  Load(4, {{10, 1, 2, 0}, {11, 2, 3, 0}, {12, 3, 1, 0}}, /*directed=*/false);
+  const std::string sql =
+      "SELECT P.PathString FROM g.Paths P WHERE P.StartVertex.Id = 1 AND "
+      "P.EndVertex.Id = 1 LIMIT 1";
+  for (size_t parallelism : {1, 4}) {
+    EXPECT_EQ(Run(sql, parallelism).rows,
+              std::vector<std::string>{"1 -[10]-> 2 -[11]-> 3 -[12]-> 1"});
+  }
+  EXPECT_EQ(Reference(1, 1, std::nullopt, std::nullopt),
+            std::vector<std::string>{"1 -[10]-> 2 -[11]-> 3 -[12]-> 1"});
+  const std::string dfs =
+      "SELECT P.PathString FROM g.Paths P HINT(DFS) WHERE "
+      "P.StartVertex.Id = 1 AND P.EndVertex.Id = 1 LIMIT 1";
+  EXPECT_EQ(Run(dfs).rows.size(), 1u);
+  // Directed, the forest keeps the cycle: its closing edge is no tree edge.
+  Load(4, {{10, 1, 2, 0}, {11, 2, 3, 0}, {12, 3, 1, 0}}, /*directed=*/true);
+  EXPECT_EQ(Run(sql).rows,
+            std::vector<std::string>{"1 -[10]-> 2 -[11]-> 3 -[12]-> 1"});
+  // With every vertex a start, visited-once would claim 2 at depth 0 and
+  // hide 1 -> 2 from start 1; such a probe runs as a one-hop scan instead.
+  EXPECT_EQ(Run("SELECT P.PathString FROM g.Paths P WHERE "
+                "P.EndVertex.Id = 2 LIMIT 1")
+                .rows,
+            std::vector<std::string>{"1 -[10]-> 2"});
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include <set>
 #include <thread>
 
+#include "bfs_reference.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -479,6 +480,18 @@ std::vector<std::string> DiffOrdered(const ResultSet& result) {
   return out;
 }
 
+/// The ordered BFScan reference, as DiffOrdered rows of
+/// (P.StartVertex.Id, P.PathString).
+std::vector<std::string> BfsReferenceRows(const DiffGraph& g,
+                                          const BfsRefQuery& q) {
+  std::vector<std::string> out;
+  for (const BfsRefPath& path : BfsReference(g.edges, g.directed, q)) {
+    out.push_back(std::to_string(path.vertexes[0]) + "|" + path.ToString() +
+                  "|");
+  }
+  return out;
+}
+
 /// Creates tables v(id, name) and e(id, src, dst, w, rank) holding a random
 /// graph of [6, max_n] vertexes and up to 3 edges per vertex, mirrored into
 /// `graph` for the reference enumerators. Callers create the views.
@@ -858,12 +871,12 @@ void RunCountDifferentialSweep(uint64_t seed, int trials) {
       conjuncts.push_back(StrFormat("P.EndVertex.Id <> %lld",
                                     static_cast<long long>(*q.end_not)));
     }
-    // Engine: DFS, per-path BFS, frontier BFS, or SPScan.
+    // Engine: DFS, BFS (two of the four draws) or SPScan.
     const int64_t engine = rng.Uniform(0, 3);
+    const bool bfs = engine == 1 || engine == 2;
     const char* hint = engine == 0   ? " HINT(DFS)"
                        : engine == 3 ? " HINT(SHORTESTPATH(w))"
                                      : " HINT(BFS)";
-    session.options().frontier_min_batch = engine == 2 ? 1 : 1 << 20;
     const int64_t form = rng.Uniform(0, 2);
     const char* select = form == 0   ? "SELECT COUNT(P)"
                          : form == 1 ? "SELECT COUNT(*)"
@@ -874,7 +887,8 @@ void RunCountDifferentialSweep(uint64_t seed, int trials) {
       q.sql += conjuncts[i];
     }
     SCOPED_TRACE(q.sql);
-    if (start_mode == 2 && engine != 2) fanned_out = true;
+    // BFS parallelizes inside its kernel, not through the per-path fan-out.
+    if (start_mode == 2 && !bfs) fanned_out = true;
 
     const uint64_t expected = CountReference(graph, q);
     for (size_t parallelism : {size_t{1}, size_t{4}}) {
@@ -886,8 +900,7 @@ void RunCountDifferentialSweep(uint64_t seed, int trials) {
       std::string text;
       for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
       EXPECT_NE(text.find("PathCount["), std::string::npos) << text;
-      EXPECT_EQ(engine == 2, text.find(", frontier") != std::string::npos)
-          << text;
+      EXPECT_EQ(bfs, text.find("BFScan") != std::string::npos) << text;
       auto result = session.Execute(q.sql);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ASSERT_EQ(result->NumRows(), 1u);
@@ -929,21 +942,20 @@ TEST(CountDiffFuzzEnvTest, EnvironmentSeedSweep) {
 // ---------------------------------------------------------------------------
 // Frontier-kernel differential fuzz
 //
-// The level-synchronous frontier BFS operator must be observationally
-// indistinguishable from the per-path BFS engine: identical result multisets
-// always, and identical row order wherever BFS order is guaranteed (which is
-// everywhere — the frontier merge replicates the serial claim order exactly,
-// including under LIMIT and morsel parallelism). Two sweeps:
+// BFScan (the level-synchronous frontier kernel) must emit exactly the rows
+// of a brute-force per-path BFS enumeration (bfs_reference.h), in the same
+// order, including under LIMIT and at any worker count: the level merge
+// replicates the serial claim order. Two sweeps:
 //
 //  * RunFrontierDifferentialSweep: random graph, random BFS-shaped queries
-//    run three ways (frontier off / frontier on serial / frontier on
-//    parallel) against each other and the brute-force reference, with random
-//    DML interleaved so queries alternate between the pure-CSR bitmap path
-//    and the delta-overlay hash path.
+//    run serially and 4-way parallel against the ordered brute-force
+//    reference (and, without LIMIT, the unordered one), with random DML
+//    interleaved so queries alternate between the pure-CSR bitmap path and
+//    the delta-overlay hash path.
 //  * RunFrontierSnapshotSweep: a writer thread churns edges in a component
 //    disjoint from the queried one (and excluded by a rank predicate), so
 //    every snapshot a reader can take must answer the fixed golden rows —
-//    with either kernel — while commits trigger delta folds underneath.
+//    at 1 and at 4 workers — while commits trigger delta folds underneath.
 // ---------------------------------------------------------------------------
 
 void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
@@ -994,9 +1006,7 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
                   .ok());
 
   session.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session.options().frontier_min_batch = 1;
-  auto run = [&](const std::string& sql, bool frontier, size_t parallelism) {
-    session.options().enable_frontier_bfs = frontier;
+  auto run = [&](const std::string& sql, size_t parallelism) {
     session.options().max_parallelism = parallelism;
     session.options().parallel_min_rows = 1;
     session.options().parallel_min_starts = 1;
@@ -1004,18 +1014,6 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     return result;
   };
-
-  // The sweep must actually exercise the frontier operator, not silently
-  // compare the per-path engine against itself.
-  {
-    auto plan = run("EXPLAIN SELECT P.PathString FROM g.Paths P "
-                    "WHERE P.Length <= 2",
-                    /*frontier=*/true, /*parallelism=*/1);
-    ASSERT_TRUE(plan.ok());
-    std::string text;
-    for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
-    ASSERT_NE(text.find(", frontier"), std::string::npos) << text;
-  }
 
   std::vector<int64_t> all_vertexes;
   for (int64_t i = 0; i < graph.n; ++i) all_vertexes.push_back(i);
@@ -1096,26 +1094,30 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
       q.sql += conjuncts[i];
     }
     // LIMIT exercises the frontier's qualify-before-expand early exit; the
-    // brute-force reference does not model it, so those trials compare the
-    // kernels against each other only.
+    // ordered reference models it, the unordered one does not.
+    BfsRefQuery ordered;
+    ordered.starts = q.starts;
+    ordered.min_len = q.min_len;
+    ordered.max_len = q.max_len;
+    ordered.end_vertex = q.end_vertex;
+    ordered.rank_below = q.rank_below;
     const bool limited = rng.Bernoulli(0.3);
     if (limited) {
-      q.sql += StrFormat(" LIMIT %lld",
-                         static_cast<long long>(rng.Uniform(1, 5)));
+      ordered.limit = static_cast<size_t>(rng.Uniform(1, 5));
+      q.sql += StrFormat(" LIMIT %zu", ordered.limit);
     }
     SCOPED_TRACE(q.sql);
 
-    auto off = run(q.sql, /*frontier=*/false, /*parallelism=*/1);
-    auto on1 = run(q.sql, /*frontier=*/true, /*parallelism=*/1);
-    auto on4 = run(q.sql, /*frontier=*/true, /*parallelism=*/4);
-    ASSERT_TRUE(off.ok() && on1.ok() && on4.ok());
-    EXPECT_EQ(DiffOrdered(*on1), DiffOrdered(*off))
-        << "frontier kernel diverges from per-path BFS";
+    auto on1 = run(q.sql, /*parallelism=*/1);
+    auto on4 = run(q.sql, /*parallelism=*/4);
+    ASSERT_TRUE(on1.ok() && on4.ok());
+    EXPECT_EQ(DiffOrdered(*on1), BfsReferenceRows(graph, ordered))
+        << "frontier kernel diverges from the per-path BFS reference";
     EXPECT_EQ(DiffOrdered(*on4), DiffOrdered(*on1))
         << "parallel frontier diverges from serial frontier";
     if (!limited) {
-      EXPECT_EQ(DiffCanon(*off), DiffReference(graph, q))
-          << "per-path BFS diverges from reference";
+      EXPECT_EQ(DiffCanon(*on1), DiffReference(graph, q))
+          << "frontier kernel diverges from reference";
     }
   }
 
@@ -1124,12 +1126,12 @@ void RunFrontierDifferentialSweep(uint64_t seed, int trials) {
 
 /// Writer churns edges confined to a noise component (vertexes 100+, rank
 /// 100) while readers repeatedly answer queries over the core component
-/// (vertexes 0..9, rank 0) with both kernels. Every query carries a
+/// (vertexes 0..9, rank 0) at 1 and at 4 workers. Every query carries a
 /// rank-based predicate and the components share no edges, so the correct
-/// answer is identical at every snapshot: any divergence from the golden
-/// rows means a kernel read torn topology. After the threads quiesce the
-/// test forces a delta fold and re-checks both kernels against the rebuilt
-/// CSR base.
+/// answer is identical at every snapshot: the golden rows, computed by the
+/// brute-force BFS reference over the core edges. Any divergence means the
+/// kernel read torn topology. After the threads quiesce the test forces a
+/// delta fold and re-checks against the rebuilt CSR base.
 void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   SCOPED_TRACE(StrFormat("frontier-snapshot seed=%llu",
                          static_cast<unsigned long long>(seed)));
@@ -1150,17 +1152,20 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
     vrows.push_back({Value::BigInt(i), Value::Varchar("noise")});
   }
   ASSERT_TRUE(db.BulkInsert("v", vrows).ok());
+  DiffGraph core;  // Ring plus chords: branchy BFS.
+  for (int64_t i = 0; i < 10; ++i) {
+    core.edges.push_back(DiffEdge{i, i, (i + 1) % 10, 1.0, 0});
+    core.edges.push_back(DiffEdge{10 + i, i, (i + 3) % 10, 1.0, 0});
+  }
   std::vector<std::vector<Value>> erows;
-  for (int64_t i = 0; i < 10; ++i) {  // Ring plus chords: branchy BFS.
-    erows.push_back({Value::BigInt(i), Value::BigInt(i),
-                     Value::BigInt((i + 1) % 10), Value::Double(1.0),
-                     Value::BigInt(0)});
-    erows.push_back({Value::BigInt(10 + i), Value::BigInt(i),
-                     Value::BigInt((i + 3) % 10), Value::Double(1.0),
-                     Value::BigInt(0)});
+  for (const DiffEdge& e : core.edges) {
+    erows.push_back({Value::BigInt(e.id), Value::BigInt(e.src),
+                     Value::BigInt(e.dst), Value::Double(e.w),
+                     Value::BigInt(e.rank)});
   }
   ASSERT_TRUE(db.BulkInsert("e", erows).ok());
-  const char* kind = rng.Bernoulli(0.5) ? "DIRECTED" : "UNDIRECTED";
+  core.directed = rng.Bernoulli(0.5);
+  const char* kind = core.directed ? "DIRECTED" : "UNDIRECTED";
   ASSERT_TRUE(session.ExecuteScript(StrFormat(
                   "CREATE %s GRAPH VIEW g VERTEXES (ID = id, name = name) "
                   "FROM v EDGES (ID = id, FROM = src, TO = dst, w = w, "
@@ -1181,23 +1186,33 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
       "WHERE P.Length = 2 AND P.Edges[0..*].rank < 50 LIMIT 9",
   };
 
-  auto configure = [](Session* s, bool frontier, size_t parallelism) {
+  std::vector<BfsRefQuery> refs(queries.size());
+  for (int64_t i = 0; i < 10; ++i) refs[0].starts.push_back(i);
+  for (int64_t i = 100; i < 106; ++i) refs[0].starts.push_back(i);
+  refs[0].max_len = 3;
+  refs[1].starts = {0};
+  refs[1].max_len = 4;
+  refs[2].starts = {0};
+  refs[2].end_vertex = 5;
+  refs[2].max_len = 6;
+  refs[2].limit = 1;
+  refs[3].starts = refs[0].starts;
+  refs[3].min_len = 2;
+  refs[3].max_len = 2;
+  refs[3].limit = 9;
+  std::vector<std::vector<std::string>> golden;
+  for (BfsRefQuery& ref : refs) {
+    ref.rank_below = 50;
+    golden.push_back(BfsReferenceRows(core, ref));
+  }
+  ASSERT_FALSE(golden[0].empty());
+
+  auto configure = [](Session* s, size_t parallelism) {
     s->options().default_traversal = PlannerOptions::Traversal::kBfs;
-    s->options().frontier_min_batch = 1;
-    s->options().enable_frontier_bfs = frontier;
     s->options().max_parallelism = parallelism;
     s->options().parallel_min_rows = 1;
     s->options().parallel_min_starts = 1;
   };
-
-  std::vector<std::vector<std::string>> golden;
-  configure(&session, /*frontier=*/false, /*parallelism=*/1);
-  for (const std::string& sql : queries) {
-    auto res = session.Execute(sql);
-    ASSERT_TRUE(res.ok()) << sql << ": " << res.status().ToString();
-    golden.push_back(DiffOrdered(*res));
-  }
-  ASSERT_FALSE(golden[0].empty());
 
   std::atomic<bool> done{false};
   std::atomic<int> reader_errors{0};
@@ -1209,13 +1224,8 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
       size_t i = static_cast<size_t>(r);
       while (!done.load(std::memory_order_acquire)) {
         const size_t qi = i++ % queries.size();
-        struct Mode {
-          bool frontier;
-          size_t parallelism;
-        };
-        for (const Mode& mode :
-             {Mode{false, 1}, Mode{true, 1}, Mode{true, 4}}) {
-          configure(&s, mode.frontier, mode.parallelism);
+        for (size_t parallelism : {1, 4}) {
+          configure(&s, parallelism);
           auto res = s.Execute(queries[qi]);
           if (!res.ok()) {
             ++reader_errors;
@@ -1272,11 +1282,11 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_EQ(reader_violations.load(), 0)
-      << "a kernel observed topology the snapshot should not contain";
+      << "a reader observed topology the snapshot should not contain";
 
   // Force at least one fold now that the readers are gone (the fold lock is
-  // best-effort under reader pressure), then verify both kernels against
-  // the re-snapshotted CSR base.
+  // best-effort under reader pressure), then verify the rows against the
+  // re-snapshotted CSR base.
   GraphView* gv = db.catalog().FindGraphView("g");
   ASSERT_NE(gv, nullptr);
   const size_t folds_before = gv->Folds();
@@ -1291,13 +1301,13 @@ void RunFrontierSnapshotSweep(uint64_t seed, int trials) {
   ASSERT_GT(gv->Folds(), folds_before)
       << "commit pressure never triggered a delta fold";
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (bool frontier : {false, true}) {
-      configure(&session, frontier, /*parallelism=*/1);
+    for (size_t parallelism : {1, 4}) {
+      configure(&session, parallelism);
       auto res = session.Execute(queries[qi]);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
       EXPECT_EQ(DiffOrdered(*res), golden[qi])
-          << queries[qi] << " diverges after fold (frontier="
-          << frontier << ")";
+          << queries[qi] << " diverges after fold (parallelism="
+          << parallelism << ")";
     }
   }
 }
@@ -1333,10 +1343,12 @@ TEST(FrontierDiffFuzzEnvTest, EnvironmentSeedSweep) {
 // Reachability-witness differential fuzz
 //
 // An endpoint-bound LIMIT 1 probe whose target is not a start runs as a
-// bidirectional search in the frontier kernel. It must return the exact
-// witness row of the per-path BFS engine (the lexicographically first
-// minimum-hop path), at 1 and at 4 workers, and find a path exactly when a
-// brute-force BFS does. The graphs are built to stress the witness choice:
+// bidirectional search in the frontier kernel; one whose target is a start
+// runs the one-sided forest (a lone start on a directed view) or enumerates
+// paths. Every shape must return the exact witness row of the brute-force
+// per-path BFS reference (the lexicographically first minimum-hop path), at
+// 1 and at 4 workers, and find a path exactly when a brute-force BFS does.
+// The graphs are built to stress the witness choice:
 // long chains (deep searches where either side may expand first), chords
 // (ties between minimum-hop paths), multi-edges (ties between edges of one
 // vertex pair) and self-loops, plus vertexes without edges.
@@ -1423,9 +1435,7 @@ void RunWitnessDifferentialSweep(uint64_t seed, int trials) {
                   .ok());
 
   session.options().default_traversal = PlannerOptions::Traversal::kBfs;
-  session.options().frontier_min_batch = 1;
-  auto run = [&](const std::string& sql, bool frontier, size_t parallelism) {
-    session.options().enable_frontier_bfs = frontier;
+  auto run = [&](const std::string& sql, size_t parallelism) {
     session.options().max_parallelism = parallelism;
     session.options().parallel_min_rows = 1;
     session.options().parallel_min_starts = 1;
@@ -1444,7 +1454,7 @@ void RunWitnessDifferentialSweep(uint64_t seed, int trials) {
                               static_cast<long long>(e.dst == e.src
                                                          ? e.dst + 1
                                                          : e.dst)),
-                    /*frontier=*/true, /*parallelism=*/1);
+                    /*parallelism=*/1);
     ASSERT_TRUE(plan.ok());
     std::string text;
     for (const auto& row : plan->rows) text += row[0].AsVarchar() + "\n";
@@ -1483,12 +1493,21 @@ void RunWitnessDifferentialSweep(uint64_t seed, int trials) {
     sql += " LIMIT 1";
     SCOPED_TRACE(sql);
 
-    auto off = run(sql, /*frontier=*/false, /*parallelism=*/1);
-    auto on1 = run(sql, /*frontier=*/true, /*parallelism=*/1);
-    auto on4 = run(sql, /*frontier=*/true, /*parallelism=*/4);
-    ASSERT_TRUE(off.ok() && on1.ok() && on4.ok());
-    EXPECT_EQ(DiffOrdered(*on1), DiffOrdered(*off))
-        << "frontier witness diverges from per-path BFS";
+    BfsRefQuery ref;
+    if (unbound_start) {
+      for (int64_t i = 0; i < graph.n; ++i) ref.starts.push_back(i);
+    } else {
+      ref.starts = {src};
+    }
+    ref.end_vertex = dst;
+    if (max_len.has_value()) ref.max_len = static_cast<size_t>(*max_len);
+    ref.rank_below = rank_below;
+    ref.limit = 1;
+    auto on1 = run(sql, /*parallelism=*/1);
+    auto on4 = run(sql, /*parallelism=*/4);
+    ASSERT_TRUE(on1.ok() && on4.ok());
+    EXPECT_EQ(DiffOrdered(*on1), BfsReferenceRows(graph, ref))
+        << "frontier witness diverges from the per-path BFS reference";
     EXPECT_EQ(DiffOrdered(*on4), DiffOrdered(*on1))
         << "parallel frontier witness diverges from serial";
     if (!unbound_start && dst != src) {

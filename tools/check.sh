@@ -6,8 +6,8 @@
 #
 # The sanitize and tsan configurations additionally re-run the graph
 # differential suites (serial vs. morsel-parallel vs. brute-force reference,
-# for path rows, for pushed path counts and for bidirectional reachability
-# witnesses)
+# for path rows, for BFS row order, for pushed path counts and for
+# reachability witnesses)
 # and the fault-injection fuzz (random failpoints + random cancellation
 # against the robustness invariants) twice: once with built-in fixed seeds
 # and once with a fresh random seed exported through GRF_FUZZ_SEED, so every
@@ -33,7 +33,7 @@ run_config() {
 run_graph_diff() {
   local dir="$1"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'GraphDiff|CountDiff|WitnessDiff|BidirWitness|GroupedCount|OptimizerTest|Frontier|ParallelEnum|ParallelTopK|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch'
+    -R 'GraphDiff|CountDiff|WitnessDiff|BidirWitness|PathSemantics|GraphView|OptimizerTest|Frontier|TaskPool|FaultInjection|Robustness|Failpoint|Cancellation|Session|PlanCache|Prepared|Concurrency|Snapshot|Recovery|CrashRecover|Server|StatusCodeWire|RowBatch'
   local seed="${GRF_FUZZ_SEED:-$RANDOM$RANDOM}"
   echo "== graph differential + fault-injection suites, random seed ${seed} =="
   GRF_FUZZ_SEED="$seed" ctest --test-dir "$dir" --output-on-failure \
